@@ -11,7 +11,11 @@ import numpy as np
 from .diagnostics import minimax_lower_bound, report_to_json, report_to_text
 from .graphs import make_topology
 from .harness import (
+    _ESTIMATORS,
+    _MODELS,
+    _MODES,
     ExperimentSpec,
+    _int_tuple,
     fit_slope,
     parse_config,
     records_from_csv,
@@ -28,24 +32,20 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single problem size")
     group.add_argument("--n-list", help="comma-separated sizes, e.g. 64,128,256")
-    p.add_argument("--model", choices=("ns", "sst"), default="ns")
+    p.add_argument("--model", choices=_MODELS, default="ns")
     p.add_argument("--lambda", dest="lambda_star", type=float, default=0.4)
-    p.add_argument("--estimator", choices=("asp", "bap", "bap1"), default="asp")
+    p.add_argument("--estimator", choices=_ESTIMATORS, default="asp")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("bernoulli", "expectation"), default="bernoulli")
+    p.add_argument("--mode", choices=_MODES, default="bernoulli")
     p.add_argument("--alpha", type=float, default=None, help="bipartite exponent")
     p.add_argument("--p", type=float, default=None, help="Erdos-Renyi edge probability")
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    if args.n_list:
-        n_values = tuple(int(tok) for tok in args.n_list.split(","))
-    else:
-        n_values = (args.n,)
     return ExperimentSpec(
         graph_family=args.graph,
-        n_values=n_values,
+        n_values=_int_tuple(args.n_list) if args.n_list else (args.n,),
         model=args.model,
         lambda_star=args.lambda_star,
         estimator=args.estimator,
@@ -66,17 +66,19 @@ def _emit_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
         sys.stdout.write(csv_text)
     sys.stderr.write(summarize(records))
     try:
-        for key, fit in fit_slope(records).items():
-            name = "/".join(str(k) for k in key)
-            if fit.status == "exact":
-                sys.stderr.write(f"slope[{name}]: exact (zero mean error)\n")
-            else:
-                sys.stderr.write(
-                    f"slope[{name}]: {fit.slope:.4f} (intercept {fit.intercept:.4f}, "
-                    f"r2 {fit.r_squared:.4f}, {fit.n_points} sizes)\n"
-                )
-    except ValueError:
-        pass  # single-n runs have no slope
+        fits = fit_slope(records)
+    except ValueError as exc:
+        sys.stderr.write(f"slope: skipped ({exc})\n")
+        fits = {}
+    for key, fit in fits.items():
+        name = "/".join(str(k) for k in key)
+        if fit.status == "exact":
+            sys.stderr.write(f"slope[{name}]: exact (zero mean error)\n")
+        else:
+            sys.stderr.write(
+                f"slope[{name}]: {fit.slope:.4f} (intercept {fit.intercept:.4f}, "
+                f"r2 {fit.r_squared:.4f}, {fit.n_points} sizes)\n"
+            )
     return 1 if any(r.error for r in records) else 0
 
 
@@ -103,7 +105,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_slope(args: argparse.Namespace) -> int:
     records = records_from_csv(Path(args.input).read_text())
-    for key, fit in fit_slope(records).items():
+    try:
+        fits = fit_slope(records)
+    except ValueError as exc:
+        sys.stderr.write(f"slope: {exc}\n")
+        return 1
+    for key, fit in fits.items():
         name = "/".join(str(k) for k in key)
         if fit.status == "exact":
             print(f"{name}: exact (zero mean error)")
@@ -122,18 +129,21 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run a sweep specified inline by flags")
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--out", help="CSV output path (default: stdout)")
+    run_flags.add_argument("--workers", type=int, default=1)
+    run_flags.add_argument("--timings", action="store_true", help="include runtime_ms in CSV")
+
+    p_sim = sub.add_parser(
+        "simulate", parents=[run_flags], help="run a sweep specified inline by flags"
+    )
     _add_spec_flags(p_sim)
-    p_sim.add_argument("--out", help="CSV output path (default: stdout)")
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument("--timings", action="store_true", help="include runtime_ms in CSV")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="run a sweep from a key = value config file")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[run_flags], help="run a sweep from a key = value config file"
+    )
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", help="CSV output path (default: stdout)")
-    p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--timings", action="store_true", help="include runtime_ms in CSV")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_diag = sub.add_parser("diagnose", help="worst-case diagnostics for a topology")

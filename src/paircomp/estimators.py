@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression as _scipy_isotonic
 
-from ._biso import dykstra_biso
 from .graphs import Graph
 from .models import (
     check_permutation,
@@ -134,20 +133,39 @@ def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> Bis
     """Euclidean projection onto the bivariate isotonic set.
 
     Dykstra's alternating projections over (a) the per-row nondecreasing
-    cones via PAV and (b) the skew/box set, whose joint projection is
-    clip((x - x^T + 1)/2, 0, 1).  Column monotonicity follows from row
+    cones via PAV and (b) the skew/box set M + M^T = ee^T, 0 <= M <= 1.
+    Projecting onto (b) separates over the entry pairs (i, j), (j, i), each
+    projected onto the segment from (0, 1) to (1, 0), which gives the closed
+    form clip((x - x^T + 1)/2, 0, 1).  Column monotonicity follows from row
     monotonicity plus the skew constraint.  Stops when successive sweeps
     move less than tol in Frobenius norm and the row-monotonicity residual
     is below tol/2; on hitting max_iter the best iterate is returned with
     converged=False.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    x0 = np.asarray(x, dtype=np.float64)
+    if x0.ndim != 2 or x0.shape[0] != x0.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x0.shape}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    out, converged, iterations = dykstra_biso(x, tol, max_iter)
-    return BisoProjection(matrix=out, converged=converged, iterations=iterations)
+    n = x0.shape[0]
+    x = np.clip(0.5 * (x0 - x0.T + 1.0), 0.0, 1.0)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    y = np.empty_like(x)
+    for it in range(1, max_iter + 1):
+        z = x + p
+        for i in range(n):
+            y[i] = _scipy_isotonic(z[i]).x
+        p = z - y
+        z = y + q
+        x_new = np.clip(0.5 * (z - z.T + 1.0), 0.0, 1.0)
+        q = z - x_new
+        delta = float(np.linalg.norm(x_new - x))
+        viol = float(max(0.0, -np.min(np.diff(x_new, axis=1)))) if n > 1 else 0.0
+        x = x_new
+        if delta < tol and viol <= 0.5 * tol:
+            return BisoProjection(matrix=x, converged=True, iterations=it)
+    return BisoProjection(matrix=x, converged=False, iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +294,7 @@ def bap_estimate(
     y_scaled = np.where(o1, (n / d)[:, None] * y1, 0.0)
     row_sums = np.clip(y_scaled.sum(axis=1), 0.0, n)
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
-    if t >= n:
-        partition = BlockPartition(
-            groups=(np.arange(n, dtype=np.int64),), threshold=t
-        )
-    else:
-        partition = block_partition(row_sums, t, upper=n)
+    partition = block_partition(row_sums, t, upper=n)
     pi_hat = asp_sort(empirical_scores(s1))
 
     if single_sample:

@@ -359,26 +359,27 @@ def summarize(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CONFIG_KEYS = {
-    "graph": "graph_family",
-    "n_list": "n_values",
-    "model": "model",
-    "lambda": "lambda_star",
-    "estimator": "estimator",
-    "trials": "trials",
-    "seed": "master_seed",
-    "mode": "mode",
-    "alpha": "bipartite_alpha",
-    "p": "edge_probability",
-}
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(","))
 
-_ESTIMATOR_ALIASES = {"asp": "asp", "bap": "bap", "bap1": "bap1"}
-_MODEL_ALIASES = {"ns": "ns", "sst": "sst"}
+
+_CONFIG_KEYS = {
+    "graph": ("graph_family", str),
+    "n_list": ("n_values", _int_tuple),
+    "model": ("model", str),
+    "lambda": ("lambda_star", float),
+    "estimator": ("estimator", str),
+    "trials": ("trials", int),
+    "seed": ("master_seed", int),
+    "mode": ("mode", str),
+    "alpha": ("bipartite_alpha", float),
+    "p": ("edge_probability", float),
+}
 
 
 def parse_config(text: str) -> ExperimentSpec:
     """Flat key = value lines with # comments; keys mirror the CLI flags."""
-    raw: dict[str, str] = {}
+    kwargs: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -388,27 +389,8 @@ def parse_config(text: str) -> ExperimentSpec:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value
-    if "graph" not in raw or "n_list" not in raw:
+        field, convert = _CONFIG_KEYS[key]
+        kwargs[field] = convert(value)
+    if "graph_family" not in kwargs or "n_values" not in kwargs:
         raise ValueError("config requires at least 'graph' and 'n_list'")
-    kwargs: dict = {
-        "graph_family": raw["graph"],
-        "n_values": tuple(int(tok) for tok in raw["n_list"].split(",")),
-    }
-    if "model" in raw:
-        kwargs["model"] = _MODEL_ALIASES.get(raw["model"], raw["model"])
-    if "lambda" in raw:
-        kwargs["lambda_star"] = float(raw["lambda"])
-    if "estimator" in raw:
-        kwargs["estimator"] = _ESTIMATOR_ALIASES.get(raw["estimator"], raw["estimator"])
-    if "trials" in raw:
-        kwargs["trials"] = int(raw["trials"])
-    if "seed" in raw:
-        kwargs["master_seed"] = int(raw["seed"])
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"]
-    if "alpha" in raw:
-        kwargs["bipartite_alpha"] = float(raw["alpha"])
-    if "p" in raw:
-        kwargs["edge_probability"] = float(raw["p"])
     return ExperimentSpec(**kwargs)

@@ -24,7 +24,6 @@ from paircomp import (
     sample_sst_bands,
     assign_random,
 )
-from paircomp._biso import _dykstra_biso_numpy, dykstra_biso
 
 
 def ident(n):
@@ -196,15 +195,6 @@ def test_project_reports_nonconvergence():
     assert proj.iterations == 3
 
 
-def test_jit_and_numpy_kernels_agree():
-    rng = np.random.default_rng(8)
-    x = rng.random((9, 9))
-    a, ca, ia = dykstra_biso(x, 1e-9, 50_000)
-    b, cb, ib = _dykstra_biso_numpy(x, 1e-9, 50_000)
-    assert ca == cb and ia == ib
-    assert np.abs(a - b).max() < 1e-12
-
-
 def test_project_matches_qp_oracle_small_n():
     cvxpy = pytest.importorskip("cvxpy")
     rng = np.random.default_rng(9)
@@ -332,6 +322,18 @@ def test_bap_all_half_fixed_point():
     s1 = expectation_sample(m, g)
     out = bap_estimate(s1, s1, g)
     assert np.allclose(out, 0.5, atol=1e-9)
+
+
+def test_bap_single_block_when_gap_covers_all_row_sums():
+    # every degree is 1, so the gap t = sum 1/sqrt(d) equals n: one block
+    n = 16
+    g = make_topology("regular_bipartite", n, alpha=0.1)
+    assert np.all(g.degrees == 1)
+    rng = np.random.default_rng(19)
+    m = sample_sst_bands(n, rng)
+    s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    assert np.array_equal(bap_estimate(s1, s2, g), np.full((n, n), 0.5))
 
 
 def test_bap_single_sample_flag_and_validation():

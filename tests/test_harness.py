@@ -214,19 +214,30 @@ def test_parse_config():
     spec = parse_config(
         """
         # scaling run
-        graph = two_cliques
+        graph = regular_bipartite
         n_list = 64,128,256
-        model = ns
-        lambda = 0.4
-        estimator = asp
+        model = sst
+        lambda = 0.25
+        estimator = bap1
         trials = 10
-        seed = 7
-        mode = bernoulli
+        seed = 7   # master seed
+        mode = expectation
+        alpha = 0.5
+        p = 0.3
         """
     )
-    assert spec.graph_family == "two_cliques"
-    assert spec.n_values == (64, 128, 256)
-    assert spec.master_seed == 7
+    assert spec == ExperimentSpec(
+        graph_family="regular_bipartite",
+        n_values=(64, 128, 256),
+        model="sst",
+        lambda_star=0.25,
+        estimator="bap1",
+        trials=10,
+        master_seed=7,
+        mode="expectation",
+        bipartite_alpha=0.5,
+        edge_probability=0.3,
+    )
     with pytest.raises(ValueError):
         parse_config("nonsense = 1")
     with pytest.raises(ValueError):
@@ -272,6 +283,27 @@ def test_cli_simulate_and_slope(tmp_path, capsys):
     code = cli_main(["slope", "--input", str(out)])
     assert code == 0
     assert "slope=" in capsys.readouterr().out
+
+
+def test_cli_slope_single_n_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    args = ["simulate", "--graph", "path", "--n", "8", "--trials", "2", "--out", str(out)]
+    assert cli_main(args) == 0
+    capsys.readouterr()
+    assert cli_main(["slope", "--input", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "slope: group ('path', 'asp', 'ns') has fewer than 2 distinct n values\n"
+
+
+def test_cli_single_n_reports_skipped_slope(capsys):
+    args = ["simulate", "--graph", "path", "--n", "8", "--trials", "1", "--seed", "1"]
+    assert cli_main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == CSV_HEADER
+    assert captured.err.splitlines()[-1] == (
+        "slope: skipped (group ('path', 'asp', 'ns') has fewer than 2 distinct n values)"
+    )
 
 
 def test_cli_sweep_from_config(tmp_path):
