@@ -11,11 +11,12 @@ import numpy as np
 from .diagnostics import minimax_lower_bound, report_to_json, report_to_text
 from .graphs import make_topology
 from .harness import (
+    _CONFIG_KEYS,
     _ESTIMATORS,
     _MODELS,
     _MODES,
     ExperimentSpec,
-    _int_tuple,
+    _spec_from_values,
     fit_slope,
     parse_config,
     records_from_csv,
@@ -28,37 +29,33 @@ __all__ = ["main"]
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+    # values stay text: _spec_from_values converts them and ExperimentSpec
+    # supplies the defaults, exactly as for a config file
     p.add_argument("--graph", required=True, help="graph family")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="single problem size")
     group.add_argument("--n-list", help="comma-separated sizes, e.g. 64,128,256")
-    p.add_argument("--model", choices=_MODELS, default="ns")
-    p.add_argument("--lambda", dest="lambda_star", type=float, default=0.4)
-    p.add_argument("--estimator", choices=_ESTIMATORS, default="asp")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=_MODES, default="bernoulli")
-    p.add_argument("--alpha", type=float, default=None, help="bipartite exponent")
-    p.add_argument("--p", type=float, default=None, help="Erdos-Renyi edge probability")
+    p.add_argument("--model", choices=_MODELS)
+    p.add_argument("--lambda", metavar="LAMBDA_STAR")
+    p.add_argument("--estimator", choices=_ESTIMATORS)
+    p.add_argument("--trials")
+    p.add_argument("--seed")
+    p.add_argument("--mode", choices=_MODES)
+    p.add_argument("--alpha", help="bipartite exponent")
+    p.add_argument("--p", help="Erdos-Renyi edge probability")
 
 
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    return ExperimentSpec(
-        graph_family=args.graph,
-        n_values=_int_tuple(args.n_list) if args.n_list else (args.n,),
-        model=args.model,
-        lambda_star=args.lambda_star,
-        estimator=args.estimator,
-        trials=args.trials,
-        master_seed=args.seed,
-        mode=args.mode,
-        bipartite_alpha=args.alpha,
-        edge_probability=args.p,
-    )
+def _simulate_spec(args: argparse.Namespace) -> ExperimentSpec:
+    flags = dict(vars(args), n_list=args.n_list if args.n is None else str(args.n))
+    return _spec_from_values((k, flags[k]) for k in _CONFIG_KEYS if flags[k] is not None)
 
 
-def _emit_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
-    records = run_sweep(spec, workers=args.workers)
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    try:
+        records = run_sweep(args.spec(args), workers=args.workers)
+    except ValueError as exc:  # a bad spec: nothing ran, nothing is written
+        sys.stderr.write(f"paircomp: error: {exc}\n")
+        return 2
     csv_text = records_to_csv(records, include_runtime=args.timings)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -80,15 +77,6 @@ def _emit_sweep(spec: ExperimentSpec, args: argparse.Namespace) -> int:
                 f"r2 {fit.r_squared:.4f}, {fit.n_points} sizes)\n"
             )
     return 1 if any(r.error for r in records) else 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    return _emit_sweep(_spec_from_args(args), args)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = parse_config(Path(args.config).read_text())
-    return _emit_sweep(spec, args)
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
@@ -138,13 +126,13 @@ def main(argv: list[str] | None = None) -> int:
         "simulate", parents=[run_flags], help="run a sweep specified inline by flags"
     )
     _add_spec_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_sweep, spec=_simulate_spec)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[run_flags], help="run a sweep from a key = value config file"
     )
     p_sweep.add_argument("--config", required=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, spec=lambda a: parse_config(Path(a.config).read_text()))
 
     p_diag = sub.add_parser("diagnose", help="worst-case diagnostics for a topology")
     p_diag.add_argument("--graph", required=True)

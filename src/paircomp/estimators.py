@@ -275,12 +275,13 @@ def bap_estimate(
 ) -> np.ndarray:
     """Block-average-project estimate of an SST comparison matrix.
 
-    Blocks come from the first sample: rescale observed entries by n/D_i,
-    partition the clamped row sums with gap t = sum_v 1/sqrt(d_v), and take
-    the score ranking.  The second sample is averaged within blocks (the
-    first again when single_sample is set), and the result is projected
-    onto the permuted bivariate isotonic set by conjugating with the score
-    ranking around :func:`project_biso`.
+    Blocks come from the first sample: its rescaled row sums
+    (n/D_i) sum_j Y_ij equal n times the empirical scores, which are
+    partitioned (clamped to [0, n]) with gap t = sum_v 1/sqrt(d_v) and also
+    give the score ranking.  The second sample is averaged within blocks
+    (the first again when single_sample is set), and the result is
+    projected onto the permuted bivariate isotonic set by conjugating with
+    the score ranking around :func:`project_biso`.
     """
     if g.degrees.min() == 0:
         raise ValueError("comparison graph must have no isolated vertices")
@@ -288,24 +289,19 @@ def bap_estimate(
         raise ValueError(f"sample size {s1.n} does not match graph size {g.n}")
     n = g.n
 
-    y1, o1 = sample_matrix(s1)
-    d = o1.sum(axis=1)
-    assert d.min() > 0  # guaranteed: no isolated vertices under any assignment
-    y_scaled = np.where(o1, (n / d)[:, None] * y1, 0.0)
-    row_sums = np.clip(y_scaled.sum(axis=1), 0.0, n)
+    tau_hat = empirical_scores(s1)
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
-    partition = block_partition(row_sums, t, upper=n)
-    pi_hat = asp_sort(empirical_scores(s1))
+    partition = block_partition(np.clip(n * tau_hat, 0.0, n), t, upper=n)
+    pi_hat = asp_sort(tau_hat)
 
     if single_sample:
-        m_blocked = block_average(y1, o1, partition)
+        m_blocked = block_average(*sample_matrix(s1), partition)
     else:
         if s2 is None:
             raise ValueError("two-sample BAP needs a second observation sample")
         if s2.n != g.n:
             raise ValueError(f"sample size {s2.n} does not match graph size {g.n}")
-        y2, o2 = sample_matrix(s2)
-        m_blocked = block_average(y2, o2, partition)
+        m_blocked = block_average(*sample_matrix(s2), partition)
 
     inv = inverse_permutation(pi_hat)
     projected = project_biso(permute_matrix(m_blocked, inv), tol=tol, max_iter=max_iter)

@@ -4,8 +4,10 @@ A trial draws a ground-truth matrix on a fixed topology (true ranking =
 identity), samples observations under a random assignment, runs one
 estimator, and records error metrics.  Sweeps are reproducible: every
 trial's generator is seeded by a stated 64-bit mix of (master_seed, n,
-trial_index), records are emitted sorted by (n, trial) regardless of
-execution order, and the CSV serialization is byte-stable.
+trial_index), records come back in (n, trial) order serially or in
+parallel, and the CSV serialization is byte-stable.  A sweep builds each
+size's graph once and hands it to every trial at that size; nothing is
+cached between sweeps.
 
 Wall-clock runtime is carried on each record but written to CSV only on
 request, so that re-runs of the same spec produce identical bytes.
@@ -16,12 +18,13 @@ from __future__ import annotations
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import product, repeat
 
 import numpy as np
 
 from .estimators import asp_estimate, bap_estimate
-from .graphs import Graph, degree_functional, make_topology
+from .graphs import GRAPH_FAMILIES, Graph, degree_functional, make_topology
 from .models import (
     frobenius_error,
     identity_permutation,
@@ -46,8 +49,6 @@ __all__ = [
     "parse_config",
     "CSV_HEADER",
 ]
-
-CSV_HEADER = "graph,n,trial,seed,estimator,model,frob_err,kt,lambda_hat,deg_functional,runtime_ms"
 
 _MODELS = ("ns", "sst")
 _ESTIMATORS = ("asp", "bap", "bap1")
@@ -74,6 +75,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        if self.graph_family not in GRAPH_FAMILIES:
+            raise ValueError(f"graph_family must be one of {GRAPH_FAMILIES}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if len(self.n_values) == 0 or any(
@@ -142,6 +145,7 @@ def run_trial(
     """Run one seeded trial; estimator failures become failed records."""
     seed = derive_seed(spec.master_seed, n, trial_index)
     start = time.perf_counter()
+    metrics, error = (None, None, None, None), None
     try:
         g = graph if graph is not None else build_graph(spec, n)
         rng = np.random.default_rng(seed)
@@ -153,8 +157,7 @@ def run_trial(
         sigma1 = assign_random(g, rng)
         value_rng = rng if spec.mode == "bernoulli" else None
         s1 = observe(m_star, g, sigma1, spec.mode, value_rng)
-        kt = None
-        lam_hat = None
+        kt = lam_hat = None
         if spec.estimator == "asp":
             result = asp_estimate(s1)
             m_hat = result.m_hat
@@ -166,68 +169,31 @@ def run_trial(
             m_hat = bap_estimate(s1, s2, g)
         else:  # bap1
             m_hat = bap_estimate(s1, None, g, single_sample=True)
-        record = TrialRecord(
-            graph_family=spec.graph_family,
-            n=n,
-            trial_index=trial_index,
-            seed=seed,
-            estimator=spec.estimator,
-            model=spec.model,
-            frob_err=frobenius_error(m_hat, m_star),
-            kt_dist=kt,
-            lambda_hat=lam_hat,
-            degree_functional=degree_functional(g),
-            runtime_ms=(time.perf_counter() - start) * 1e3,
-        )
+        metrics = (frobenius_error(m_hat, m_star), kt, lam_hat, degree_functional(g))
     except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
-        record = TrialRecord(
-            graph_family=spec.graph_family,
-            n=n,
-            trial_index=trial_index,
-            seed=seed,
-            estimator=spec.estimator,
-            model=spec.model,
-            frob_err=None,
-            kt_dist=None,
-            lambda_hat=None,
-            degree_functional=None,
-            runtime_ms=(time.perf_counter() - start) * 1e3,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return record
-
-
-def _run_task(args) -> TrialRecord:
-    spec, n, trial_index = args
-    return run_trial(spec, n, trial_index, graph=_graph_cached(spec, n))
-
-
-_GRAPH_CACHE: dict[tuple, Graph] = {}
-
-
-def _graph_cached(spec: ExperimentSpec, n: int) -> Graph:
-    key = (
+        error = f"{type(exc).__name__}: {exc}"
+    return TrialRecord(
         spec.graph_family,
         n,
-        spec.bipartite_alpha,
-        spec.edge_probability,
-        spec.master_seed if spec.graph_family == "erdos_renyi" else None,
+        trial_index,
+        seed,
+        spec.estimator,
+        spec.model,
+        *metrics,
+        runtime_ms=(time.perf_counter() - start) * 1e3,
+        error=error,
     )
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = build_graph(spec, n)
-    return _GRAPH_CACHE[key]
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[TrialRecord]:
-    """All (n, trial) combinations, output sorted by (n, trial_index)."""
-    tasks = [(spec, n, t) for n in spec.n_values for t in range(spec.trials)]
+    """All (n, trial) combinations in (n, trial_index) order; each size's
+    graph is built once and passed to all of that size's trials."""
+    ns, ts = zip(*product(spec.n_values, range(spec.trials)))
+    gs = (g for n in spec.n_values for g in repeat(build_graph(spec, n), spec.trials))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_task, tasks, chunksize=4))
-    else:
-        records = [_run_task(task) for task in tasks]
-    records.sort(key=lambda r: (r.n, r.trial_index))
-    return records
+            return list(pool.map(run_trial, repeat(spec), ns, ts, gs, chunksize=4))
+    return list(map(run_trial, repeat(spec), ns, ts, gs))
 
 
 @dataclass(frozen=True)
@@ -283,6 +249,27 @@ def fit_slope(
 # ---------------------------------------------------------------------------
 
 
+def _optional(parse):
+    return lambda cell: parse(cell) if cell else None
+
+
+# CSV column -> (TrialRecord field, cell parser); the order is the CSV's
+_CSV_COLUMNS = {
+    "graph": ("graph_family", str),
+    "n": ("n", int),
+    "trial": ("trial_index", int),
+    "seed": ("seed", int),
+    "estimator": ("estimator", str),
+    "model": ("model", str),
+    "frob_err": ("frob_err", _optional(float)),
+    "kt": ("kt_dist", _optional(int)),
+    "lambda_hat": ("lambda_hat", _optional(float)),
+    "deg_functional": ("degree_functional", _optional(float)),
+    "runtime_ms": ("runtime_ms", _optional(float)),
+}
+CSV_HEADER = ",".join(_CSV_COLUMNS)
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -297,49 +284,28 @@ def records_to_csv(records, include_runtime: bool = False) -> str:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     for r in records:
-        runtime = r.runtime_ms if include_runtime else None
-        fields = (
-            r.graph_family,
-            r.n,
-            r.trial_index,
-            r.seed,
-            r.estimator,
-            r.model,
-            r.frob_err,
-            r.kt_dist,
-            r.lambda_hat,
-            r.degree_functional,
-            runtime,
-        )
-        buf.write(",".join(_fmt(f) for f in fields) + "\n")
+        if not include_runtime:
+            r = replace(r, runtime_ms=None)
+        buf.write(",".join(_fmt(getattr(r, field)) for field, _ in _CSV_COLUMNS.values()))
+        buf.write("\n")
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
+    """Parse records_to_csv output; rows without metrics come back failed."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError("missing or unexpected CSV header")
     records = []
     for ln in lines[1:]:
-        f = ln.split(",")
-        if len(f) != 11:
-            raise ValueError(f"expected 11 fields, got {len(f)}: {ln!r}")
-        records.append(
-            TrialRecord(
-                graph_family=f[0],
-                n=int(f[1]),
-                trial_index=int(f[2]),
-                seed=int(f[3]),
-                estimator=f[4],
-                model=f[5],
-                frob_err=float(f[6]) if f[6] else None,
-                kt_dist=int(f[7]) if f[7] else None,
-                lambda_hat=float(f[8]) if f[8] else None,
-                degree_functional=float(f[9]) if f[9] else None,
-                runtime_ms=float(f[10]) if f[10] else None,
-                error=None if f[6] else "failed (metrics absent in CSV)",
-            )
-        )
+        cells = ln.split(",")
+        if len(cells) != len(_CSV_COLUMNS):
+            raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(cells)}: {ln!r}")
+        values = {
+            field: parse(cell) for (field, parse), cell in zip(_CSV_COLUMNS.values(), cells)
+        }
+        error = None if values["frob_err"] is not None else "failed (metrics absent in CSV)"
+        records.append(TrialRecord(**values, error=error))
     return records
 
 
@@ -377,9 +343,24 @@ _CONFIG_KEYS = {
 }
 
 
+def _spec_from_values(items) -> ExperimentSpec:
+    """Spec from (config key, text) pairs; keys left out take the spec's
+    defaults.  Config files and CLI flags both go through here."""
+    kwargs: dict = {}
+    for key, value in items:
+        field, convert = _CONFIG_KEYS[key]
+        try:
+            kwargs[field] = convert(value)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    if "graph_family" not in kwargs or "n_values" not in kwargs:
+        raise ValueError("config requires at least 'graph' and 'n_list'")
+    return ExperimentSpec(**kwargs)
+
+
 def parse_config(text: str) -> ExperimentSpec:
     """Flat key = value lines with # comments; keys mirror the CLI flags."""
-    kwargs: dict = {}
+    items = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -389,8 +370,5 @@ def parse_config(text: str) -> ExperimentSpec:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        field, convert = _CONFIG_KEYS[key]
-        kwargs[field] = convert(value)
-    if "graph_family" not in kwargs or "n_values" not in kwargs:
-        raise ValueError("config requires at least 'graph' and 'n_list'")
-    return ExperimentSpec(**kwargs)
+        items.append((key, value))
+    return _spec_from_values(items)

@@ -16,6 +16,7 @@ from paircomp import (
     run_trial,
     summarize,
 )
+from paircomp import harness
 from paircomp.cli import main as cli_main
 
 
@@ -45,6 +46,8 @@ def test_spec_validation():
         small_spec(estimator="mle")
     with pytest.raises(ValueError):
         small_spec(lambda_star=0.7)
+    with pytest.raises(ValueError):
+        small_spec(graph_family="nosuch")
 
 
 def test_derive_seed_is_deterministic_and_spread():
@@ -108,6 +111,21 @@ def test_run_sweep_shape_and_order():
         (16, 1),
         (16, 2),
     ]
+
+
+def test_sweep_builds_each_graph_once_per_sweep(monkeypatch):
+    calls = []
+
+    def counting_build_graph(spec, n):
+        calls.append(n)
+        return make_topology(spec.graph_family, n)
+
+    monkeypatch.setattr(harness, "build_graph", counting_build_graph)
+    spec = small_spec()
+    for _ in range(2):
+        calls.clear()
+        run_sweep(spec)
+        assert calls == list(spec.n_values)
 
 
 def test_sweep_rerun_and_parallel_byte_identical():
@@ -200,6 +218,16 @@ def test_csv_round_trip():
         assert a.frob_err == b.frob_err
         assert a.kt_dist == b.kt_dist
     assert mean_errors(parsed) == mean_errors(recs)
+
+    failing = run_sweep(small_spec(graph_family="erdos_renyi", edge_probability=0.01))
+    assert all(r.error is not None for r in failing)
+    for r in records_from_csv(records_to_csv(failing)):
+        assert (r.frob_err, r.kt_dist, r.lambda_hat, r.degree_functional) == (None,) * 4
+        assert r.error == "failed (metrics absent in CSV)"
+
+    timed = records_from_csv(records_to_csv(recs, include_runtime=True))
+    assert [r.runtime_ms for r in timed] == [r.runtime_ms for r in recs]
+    assert all(isinstance(r.runtime_ms, float) for r in timed)
 
 
 def test_csv_runtime_opt_in():
@@ -329,6 +357,34 @@ def test_cli_stdout_csv(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0] == CSV_HEADER
+
+    assert cli_main(["simulate", "--graph", "path", "--n-list", "8,16"]) == 0
+    expected = records_to_csv(run_sweep(ExperimentSpec("path", (8, 16))))
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["sweep", "--config", "CFG"], "trials: invalid literal for int() with base 10: 'abc'"),
+        (["simulate", "--graph", "path", "--n", "8", "--trials", "0"], "trials must be >= 1"),
+        (
+            ["simulate", "--graph", "path", "--n-list", "8,8"],
+            "n_values must be nonempty and strictly increasing",
+        ),
+        (["simulate", "--graph", "nosuch", "--n", "8"], "graph_family must be one of"),
+    ],
+    ids=["config-trials-abc", "trials-0", "repeated-n", "unknown-graph"],
+)
+def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("graph = path\nn_list = 8,16\ntrials = abc\n")
+    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"paircomp: error: {reason}")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_timings_flag(capsys):
