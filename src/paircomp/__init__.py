@@ -62,6 +62,7 @@ from .harness import (
 )
 from .models import (
     BisoCheck,
+    NoisySorting,
     check_comparison_matrix,
     check_permutation,
     frobenius_error,
@@ -73,6 +74,7 @@ from .models import (
     kt_distance,
     make_noisy_sorting,
     matrix_from_csv,
+    noisy_sorting_error,
     matrix_to_csv,
     permutation_from_line,
     permutation_to_line,

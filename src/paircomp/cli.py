@@ -45,6 +45,20 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", help="Erdos-Renyi edge probability")
 
 
+def _read_input(path: str) -> str:
+    """Text of a file named on the command line; an unreadable file is a
+    ValueError, so it is reported like any other bad input."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _error(exc: ValueError) -> int:
+    sys.stderr.write(f"paircomp: error: {exc}\n")
+    return 2
+
+
 def _simulate_spec(args: argparse.Namespace) -> ExperimentSpec:
     flags = dict(vars(args), n_list=args.n_list if args.n is None else str(args.n))
     return _spec_from_values((k, flags[k]) for k in _CONFIG_KEYS if flags[k] is not None)
@@ -54,8 +68,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         records = run_sweep(args.spec(args), workers=args.workers)
     except ValueError as exc:  # a bad spec: nothing ran, nothing is written
-        sys.stderr.write(f"paircomp: error: {exc}\n")
-        return 2
+        return _error(exc)
     csv_text = records_to_csv(records, include_runtime=args.timings)
     if args.out:
         Path(args.out).write_text(csv_text)
@@ -92,7 +105,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_slope(args: argparse.Namespace) -> int:
-    records = records_from_csv(Path(args.input).read_text())
+    try:
+        records = records_from_csv(_read_input(args.input))
+    except ValueError as exc:
+        return _error(exc)
     try:
         fits = fit_slope(records)
     except ValueError as exc:
@@ -132,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep", parents=[run_flags], help="run a sweep from a key = value config file"
     )
     p_sweep.add_argument("--config", required=True)
-    p_sweep.set_defaults(func=_cmd_sweep, spec=lambda a: parse_config(Path(a.config).read_text()))
+    p_sweep.set_defaults(func=_cmd_sweep, spec=lambda a: parse_config(_read_input(a.config)))
 
     p_diag = sub.add_parser("diagnose", help="worst-case diagnostics for a topology")
     p_diag.add_argument("--graph", required=True)

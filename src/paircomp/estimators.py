@@ -51,7 +51,11 @@ class AspResult:
 
     pi_hat: np.ndarray
     lambda_hat: float
-    m_hat: np.ndarray
+
+    @property
+    def m_hat(self) -> np.ndarray:
+        """The dense n x n estimate, built on each access."""
+        return make_noisy_sorting(self.pi_hat, self.lambda_hat)
 
 
 def asp_sort(tau_hat) -> np.ndarray:
@@ -93,7 +97,7 @@ def asp_estimate(s: ObservationSample) -> AspResult:
     tau_hat = empirical_scores(s)
     pi_hat = asp_sort(tau_hat)
     lam_hat = asp_lambda_mle(s, pi_hat)
-    return AspResult(pi_hat=pi_hat, lambda_hat=lam_hat, m_hat=make_noisy_sorting(pi_hat, lam_hat))
+    return AspResult(pi_hat=pi_hat, lambda_hat=lam_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,8 @@ def bap_estimate(
     give the score ranking.  The second sample is averaged within blocks
     (the first again when single_sample is set), and the result is
     projected onto the permuted bivariate isotonic set by conjugating with
-    the score ranking around :func:`project_biso`.
+    the score ranking around :func:`project_biso`.  Raises RuntimeError
+    when the projection stops at max_iter without converging.
     """
     if g.degrees.min() == 0:
         raise ValueError("comparison graph must have no isolated vertices")
@@ -305,4 +310,8 @@ def bap_estimate(
 
     inv = inverse_permutation(pi_hat)
     projected = project_biso(permute_matrix(m_blocked, inv), tol=tol, max_iter=max_iter)
+    if not projected.converged:
+        raise RuntimeError(
+            f"biso projection did not converge in {projected.iterations} iterations (tol {tol:g})"
+        )
     return permute_matrix(projected.matrix, pi_hat)

@@ -2,7 +2,7 @@
 
 Graphs are simple and undirected, with vertices labelled 0..n-1.  Families
 cover the topologies used in the scaling experiments (two disjoint cliques,
-clique-plus-path, power-law via Havel-Hakimi, regular bipartite) plus the
+clique-plus-path, power-law half graph, regular bipartite) plus the
 usual small benchmark graphs (star, path, cycle, complete, Erdos-Renyi).
 """
 
@@ -18,6 +18,7 @@ __all__ = [
     "InfeasibleDegreeSequenceError",
     "make_graph",
     "make_topology",
+    "sort_pairs",
     "havel_hakimi",
     "degree_functional",
     "adjacency_matrix",
@@ -83,8 +84,7 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
             raise ValueError("edge endpoint out of range")
         if np.any(e[:, 0] == e[:, 1]):
             raise ValueError("self-loops are not allowed")
-        e = np.sort(e, axis=1)
-        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        e = sort_pairs(e, n)
         dup = (np.diff(e[:, 0]) == 0) & (np.diff(e[:, 1]) == 0)
         if np.any(dup):
             raise ValueError("duplicate edges are not allowed")
@@ -92,6 +92,17 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
     e.setflags(write=False)
     degrees.setflags(write=False)
     return Graph(n=n, edges=e, degrees=degrees, family=family)
+
+
+def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order.
+
+    The scalar key u * n + v orders rows (u, v) lexicographically, so one
+    1-D sort replaces a row sort plus a two-key lexsort.
+    """
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return np.column_stack(np.divmod(np.sort(lo * n + hi), n))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -162,7 +173,18 @@ def make_topology(
         chain = np.concatenate(([h - 1], np.arange(h, n)))
         edges = np.vstack([_clique_edges(np.arange(h)), _path_edges(chain)])
     elif family == "power_law":
-        return _power_law(n)
+        # The literal staircase d_i = i is not graphical (d_n = n exceeds n-1,
+        # and capping at n-1 leaves duplicate near-universal degrees that
+        # clash with the degree-1 vertex).  Subtracting 1 on the upper half
+        # gives d_i = i - 1{2i > n} (i 1-based), graphical for every n while
+        # keeping the linear profile.  Its realization is the half graph:
+        # u < v are adjacent iff u + v >= n - 1, the same edge set Havel-Hakimi
+        # builds from that sequence.
+        first = np.maximum(np.arange(1, n + 1), np.arange(n - 1, -1, -1))
+        count = n - first  # u's neighbours above u are first[u]..n-1
+        u = np.repeat(np.arange(n), count)
+        offset = first - (np.cumsum(count) - count)
+        edges = np.column_stack((u, np.arange(len(u)) + offset[u]))
     elif family == "regular_bipartite":
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise ValueError("regular_bipartite requires alpha in (0, 1]")
@@ -188,18 +210,6 @@ def make_topology(
         keep = rng.random(len(iu[0])) < p
         edges = np.column_stack((iu[0][keep], iu[1][keep]))
     return make_graph(n, edges, family=family)
-
-
-def _power_law(n: int) -> Graph:
-    # The literal staircase d_i = i is not graphical (d_n = n exceeds n-1,
-    # and capping at n-1 leaves duplicate near-universal degrees that clash
-    # with the degree-1 vertex).  Subtracting 1 on the upper half gives
-    # d_i = i - 1{2i > n}, the degree sequence of the half graph, which is
-    # graphical for every n while keeping the linear profile.
-    i = np.arange(1, n + 1, dtype=np.int64)
-    seq = i - (2 * i > n)
-    g = havel_hakimi(seq)
-    return Graph(n=g.n, edges=g.edges, degrees=g.degrees, family="power_law")
 
 
 def havel_hakimi(degseq) -> Graph:

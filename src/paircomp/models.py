@@ -26,6 +26,7 @@ __all__ = [
     "kt_distance",
     "inversion_table",
     "table_to_permutation",
+    "NoisySorting",
     "make_noisy_sorting",
     "sample_sst_bands",
     "scores",
@@ -33,6 +34,7 @@ __all__ = [
     "is_biso",
     "is_sst",
     "frobenius_error",
+    "noisy_sorting_error",
     "check_comparison_matrix",
     "matrix_to_csv",
     "matrix_from_csv",
@@ -79,19 +81,6 @@ def permute_matrix(m: np.ndarray, ranks) -> np.ndarray:
     return m[np.ix_(p, p)]
 
 
-def _count_inversions(a: np.ndarray) -> tuple[np.ndarray, int]:
-    # merge-based inversion counting; O(n log^2 n) with vectorized merges
-    n = len(a)
-    if n <= 1:
-        return a, 0
-    mid = n // 2
-    left, cl = _count_inversions(a[:mid])
-    right, cr = _count_inversions(a[mid:])
-    pos = np.searchsorted(left, right, side="right")
-    cross = len(left) * len(right) - int(pos.sum())
-    return np.sort(np.concatenate((left, right)), kind="mergesort"), cl + cr + cross
-
-
 def kt_distance(p, q) -> int:
     """Number of discordant item pairs between two rankings."""
     p = check_permutation(p)
@@ -100,8 +89,24 @@ def kt_distance(p, q) -> int:
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     # q-ranks listed in p-rank order; inversions of that sequence are
     # exactly the pairs ordered one way by p and the other way by q
-    seq = q[np.argsort(p)]
-    _, count = _count_inversions(seq)
+    a = q[np.argsort(p)]
+    n = len(a)
+    pos = np.arange(n)
+    count = 0
+    width = 1
+    # bottom-up merge count over aligned blocks of `width`, each sorted.  With
+    # key = b * n + value for block pair b, the left blocks' keys form one
+    # sorted array; a right key b * n + v is inverted with the (b + 1) * width
+    # left keys of pairs <= b minus those at or below it.  Sorting the keys
+    # merges every pair at once.
+    while width < n:
+        block = pos // (2 * width)
+        key = block * n + a
+        right = (pos // width) % 2 == 1
+        above = (block[right] + 1) * width - np.searchsorted(key[~right], key[right], side="right")
+        count += int(above.sum())
+        a = np.sort(key) - block * n
+        width *= 2
     return count
 
 
@@ -127,15 +132,34 @@ def table_to_permutation(b) -> np.ndarray:
     return ranks
 
 
-def make_noisy_sorting(ranks, lam: float) -> np.ndarray:
-    """Comparison matrix with all off-diagonal entries 1/2 +- lam.
+@dataclass(frozen=True)
+class NoisySorting:
+    """Noisy-sorting model M_NS(ranks, lam), held without its n x n matrix.
 
-    Entry (i, j) is 1/2 + lam exactly when item i outranks item j.
+    Construction validates lam in [0, 1/2] and ranks as a permutation.
+    ``model[i, j]`` gives the entries at index arrays (or ints) i and j:
+    1/2 + lam * sign(ranks[j] - ranks[i]), which is 1/2 + lam exactly when
+    item i outranks item j.
     """
-    if not 0.0 <= lam <= 0.5:
-        raise ValueError(f"lambda must lie in [0, 1/2], got {lam}")
-    p = check_permutation(ranks)
-    return 0.5 + lam * np.sign(p[None, :] - p[:, None]).astype(np.float64)
+
+    ranks: np.ndarray
+    lam: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 0.5:
+            raise ValueError(f"lambda must lie in [0, 1/2], got {self.lam}")
+        object.__setattr__(self, "ranks", check_permutation(self.ranks))
+
+    def __getitem__(self, index) -> np.ndarray:
+        i, j = index
+        return 0.5 + self.lam * np.sign(self.ranks[j] - self.ranks[i]).astype(np.float64)
+
+
+def make_noisy_sorting(ranks, lam: float) -> np.ndarray:
+    """Dense comparison matrix of :class:`NoisySorting` (ranks, lam)."""
+    model = NoisySorting(ranks, lam)
+    idx = np.arange(len(model.ranks))
+    return model[idx[:, None], idx[None, :]]
 
 
 def sample_sst_bands(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -233,6 +257,27 @@ def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     d = a - b
     return float((d * d).sum() / a.shape[0] ** 2)
+
+
+def noisy_sorting_error(n: int, kt: int, lam_a: float, lam_b: float) -> float:
+    """:func:`frobenius_error` between two noisy-sorting models, in closed form.
+
+    For rankings at Kendall tau distance kt = D, with C = n(n-1)/2 - D, this
+    is 2[C(lam_a - lam_b)^2 + D(lam_a + lam_b)^2] / n^2 in real arithmetic.
+    It is evaluated on the entries hi = 1/2 + lam and lo = 1/2 - lam as
+    :func:`make_noisy_sorting` stores them: a pair both rankings order alike
+    adds (hi_a - hi_b)^2 + (lo_a - lo_b)^2, a discordant pair (hi_a - lo_b)^2
+    + (lo_a - hi_b)^2.  The sum is exact in rational arithmetic and rounded
+    once, so it is the dense matrices' error without their n^2 rounded terms.
+    """
+    from fractions import Fraction
+
+    hi_a, lo_a, hi_b, lo_b = (Fraction(0.5 + s * lam) for lam in (lam_a, lam_b) for s in (1, -1))
+    c = n * (n - 1) // 2 - kt
+    total = c * ((hi_a - hi_b) ** 2 + (lo_a - lo_b) ** 2) + kt * (
+        (hi_a - lo_b) ** 2 + (lo_a - hi_b) ** 2
+    )
+    return float(total / n**2)
 
 
 def check_comparison_matrix(m: np.ndarray, tol: float = SKEW_TOL) -> None:

@@ -12,8 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
-from .models import check_comparison_matrix, check_permutation, inverse_permutation
+from .graphs import Graph, sort_pairs
+from .models import (
+    NoisySorting,
+    check_comparison_matrix,
+    check_permutation,
+    inverse_permutation,
+)
 
 __all__ = [
     "ObservationSample",
@@ -52,7 +57,7 @@ def assign_random(g: Graph, rng: np.random.Generator) -> np.ndarray:
 
 
 def observe(
-    m: np.ndarray,
+    m: np.ndarray | NoisySorting,
     g: Graph,
     sigma,
     mode: str,
@@ -60,26 +65,26 @@ def observe(
 ) -> ObservationSample:
     """Draw one observation sample of m on the graph under assignment sigma.
 
+    m is a dense comparison matrix, checked here, or a :class:`NoisySorting`
+    model, valid by construction and read at the observed pairs only.
     mode 'bernoulli' draws Y_ij ~ Ber(M_ij) independently per observed pair
     and requires rng; mode 'expectation' sets Y_ij = M_ij exactly (the
     infinite-sample-per-pair test hook).
     """
-    check_comparison_matrix(m)
+    if isinstance(m, NoisySorting):
+        size = len(m.ranks)
+    else:
+        check_comparison_matrix(m)
+        size = m.shape[0]
     sigma = check_permutation(sigma)
-    if m.shape[0] != g.n or len(sigma) != g.n:
-        raise ValueError(
-            f"size mismatch: matrix {m.shape[0]}, graph {g.n}, sigma {len(sigma)}"
-        )
+    if size != g.n or len(sigma) != g.n:
+        raise ValueError(f"size mismatch: matrix {size}, graph {g.n}, sigma {len(sigma)}")
     if mode not in ("bernoulli", "expectation"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "bernoulli" and rng is None:
         raise ValueError("bernoulli mode requires a seeded generator")
 
-    inv = inverse_permutation(sigma)
-    items = inv[g.edges] if g.num_edges else np.empty((0, 2), dtype=np.int64)
-    pairs = np.sort(items, axis=1)
-    if pairs.size:
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = sort_pairs(inverse_permutation(sigma)[g.edges], g.n)
     probs = m[pairs[:, 0], pairs[:, 1]]
     if mode == "bernoulli":
         values = (rng.random(len(probs)) < probs).astype(np.float64)

@@ -362,6 +362,18 @@ def test_bap_beats_trivial_guess_on_average():
     assert np.mean(errs) < 0.5 * np.mean(trivial)
 
 
+def test_bap_raises_when_projection_does_not_converge():
+    n = 64  # this draw needs 28 Dykstra iterations
+    g = make_topology("power_law", n)
+    rng = np.random.default_rng(20)
+    m = sample_sst_bands(n, rng)
+    s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    with pytest.raises(RuntimeError, match="did not converge in 5 iterations"):
+        bap_estimate(s1, s2, g, max_iter=5)
+    assert bap_estimate(s1, s2, g).shape == (n, n)
+
+
 def test_bap_deterministic_given_seeds():
     n = 16
     g = make_topology("two_cliques", n)

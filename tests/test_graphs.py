@@ -104,6 +104,14 @@ def test_power_law_degrees_match_adjusted_sequence():
         assert g.degrees.max() == n - 1
 
 
+def test_power_law_is_the_havel_hakimi_realization():
+    # the closed-form half graph against the greedy construction it replaced
+    for n in range(2, 301):
+        i = np.arange(1, n + 1)
+        greedy = havel_hakimi(i - (2 * i > n))
+        assert np.array_equal(make_topology("power_law", n).edges, greedy.edges)
+
+
 def test_even_n_required():
     for fam in ("two_cliques", "clique_plus_path", "regular_bipartite"):
         with pytest.raises(ValueError):
@@ -178,6 +186,14 @@ def test_make_graph_validation():
         make_graph(3, [(0, 1), (1, 0)])  # duplicate after normalization
     with pytest.raises(ValueError):
         make_graph(3, [(0, 3)])  # out of range
+    # any orientation and order in, rows (u, v) with u < v in lexicographic order out
+    rng = np.random.default_rng(4)
+    iu = np.triu_indices(9, k=1)
+    edges = np.column_stack(iu)[rng.permutation(len(iu[0]))[:20]]
+    flip = rng.random(20) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    g = make_graph(9, edges)
+    assert g.edges.tolist() == sorted(sorted(e) for e in edges.tolist())
 
 
 def test_edge_list_round_trip():

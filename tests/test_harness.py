@@ -1,14 +1,27 @@
+import functools
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from paircomp import (
     CSV_HEADER,
+    GRAPH_FAMILIES,
     ExperimentSpec,
     TrialRecord,
+    asp_estimate,
+    assign_random,
+    bap_estimate,
     degree_functional,
     derive_seed,
     fit_slope,
+    frobenius_error,
+    identity_permutation,
+    make_noisy_sorting,
     make_topology,
     mean_errors,
+    observe,
     parse_config,
     records_from_csv,
     records_to_csv,
@@ -97,6 +110,51 @@ def test_run_trial_records_failures():
     assert all(r.frob_err is None for r in failed)
     text = summarize(recs)
     assert "failed trials" in text
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.5])
+def test_ns_asp_closed_form_error_matches_dense(lam):
+    # replay each trial's draws on the dense M* and score the dense M_hat
+    for family in GRAPH_FAMILIES:
+        spec = small_spec(
+            graph_family=family,
+            n_values=(8, 32, 256),
+            lambda_star=lam,
+            trials=2,
+            bipartite_alpha=0.5,
+            edge_probability=0.5,
+        )
+        for rec in run_sweep(spec):
+            assert rec.error is None, rec.error
+            g = harness.build_graph(spec, rec.n)
+            m_star = make_noisy_sorting(identity_permutation(rec.n), lam)
+            rng = np.random.default_rng(rec.seed)
+            result = asp_estimate(observe(m_star, g, assign_random(g, rng), "bernoulli", rng))
+            assert (result.lambda_hat, int(result.pi_hat.size)) == (rec.lambda_hat, rec.n)
+            dense = frobenius_error(result.m_hat, m_star)
+            assert math.isclose(rec.frob_err, dense, rel_tol=1e-12), (family, rec.n)
+
+
+def test_ns_asp_trial_allocates_no_dense_matrix():
+    # a dense n x n float matrix at n = 8192 alone is 537 MB
+    spec = small_spec(graph_family="cycle", n_values=(8192,), trials=1)
+    g = harness.build_graph(spec, 8192)
+    tracemalloc.start()
+    try:
+        rec = run_trial(spec, 8192, 0, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.error is None
+    assert peak < 16 * 2**20
+
+
+def test_run_trial_records_nonconverged_projection(monkeypatch):
+    monkeypatch.setattr(harness, "bap_estimate", functools.partial(bap_estimate, max_iter=1))
+    spec = small_spec(graph_family="power_law", model="sst", estimator="bap", n_values=(64,))
+    rec = run_trial(spec, 64, 0)
+    assert rec.frob_err is None
+    assert rec.error == "RuntimeError: biso projection did not converge in 1 iterations (tol 1e-08)"
 
 
 def test_run_sweep_shape_and_order():
@@ -373,13 +431,26 @@ def test_cli_stdout_csv(capsys):
             "n_values must be nonempty and strictly increasing",
         ),
         (["simulate", "--graph", "nosuch", "--n", "8"], "graph_family must be one of"),
+        (["sweep", "--config", "MISSING"], "cannot read MISSING: No such file or directory"),
+        (["slope", "--input", "MISSING"], "cannot read MISSING: No such file or directory"),
+        (["slope", "--input", "CSV"], "missing or unexpected CSV header"),
     ],
-    ids=["config-trials-abc", "trials-0", "repeated-n", "unknown-graph"],
+    ids=[
+        "config-trials-abc",
+        "trials-0",
+        "repeated-n",
+        "unknown-graph",
+        "missing-config",
+        "missing-csv",
+        "csv-bad-header",
+    ],
 )
 def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("graph = path\nn_list = 8,16\ntrials = abc\n")
-    argv = [str(cfg) if a == "CFG" else a for a in argv]
+    files = {"CFG": tmp_path / "bad.cfg", "CSV": tmp_path / "bad.csv", "MISSING": tmp_path / "nope"}
+    files["CFG"].write_text("graph = path\nn_list = 8,16\ntrials = abc\n")
+    files["CSV"].write_text("graph,n\npath,8\n")
+    argv = [str(files[a]) if a in files else a for a in argv]
+    reason = reason.replace("MISSING", str(files["MISSING"]))
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

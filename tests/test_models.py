@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from paircomp import (
+    NoisySorting,
     check_permutation,
     frobenius_error,
     identity_permutation,
@@ -16,6 +17,7 @@ from paircomp import (
     make_noisy_sorting,
     matrix_from_csv,
     matrix_to_csv,
+    noisy_sorting_error,
     permutation_from_line,
     permutation_to_line,
     permute_matrix,
@@ -56,8 +58,8 @@ def test_kt_examples():
 
 def test_kt_matches_bruteforce_on_random_pairs():
     rng = np.random.default_rng(0)
-    for _ in range(60):
-        n = int(rng.integers(1, 120))
+    sizes = [int(n) for n in rng.integers(1, 120, size=60)] + [0, 255, 256, 257, 1000]
+    for n in sizes:
         p, q = random_perm(rng, n), random_perm(rng, n)
         assert kt_distance(p, q) == kt_bruteforce(p, q)
 
@@ -182,6 +184,29 @@ def test_frobenius_kt_identity_random_pairs():
         p, q = random_perm(rng, n), random_perm(rng, n)
         d = make_noisy_sorting(p, lam) - make_noisy_sorting(q, lam)
         assert abs((d * d).sum() - 8 * lam**2 * kt_distance(p, q)) < 1e-9
+
+
+def test_noisy_sorting_model_entries_and_validation():
+    rng = np.random.default_rng(10)
+    p = random_perm(rng, 11)
+    model = NoisySorting(p, 0.3)
+    i, j = rng.integers(0, 11, size=(2, 50))
+    assert np.array_equal(model[i, j], make_noisy_sorting(p, 0.3)[i, j])
+    with pytest.raises(ValueError):
+        NoisySorting(p, 0.6)
+    with pytest.raises(ValueError):
+        NoisySorting([0, 0, 1], 0.2)
+
+
+def test_noisy_sorting_error_matches_dense_frobenius():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 60))
+        p, q = random_perm(rng, n), random_perm(rng, n)
+        lam_a, lam_b = rng.choice([0.0, 0.5, *rng.uniform(0, 0.5, size=3)], size=2)
+        dense = frobenius_error(make_noisy_sorting(p, lam_a), make_noisy_sorting(q, lam_b))
+        closed = noisy_sorting_error(n, kt_distance(p, q), lam_a, lam_b)
+        assert math.isclose(closed, dense, rel_tol=1e-12)
 
 
 def test_permute_matrix_convention():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from paircomp import (
+    NoisySorting,
     ObservationSample,
     adjacency_matrix,
     assign_random,
@@ -83,6 +84,22 @@ def test_observe_validates_inputs():
         observe(m4, g, identity_permutation(4), "bernoulli")  # rng required
     with pytest.raises(ValueError):
         observe(m4, g, identity_permutation(4), "nonsense")
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_observe_noisy_sorting_model_matches_its_dense_matrix(mode):
+    for family, n in (("two_cliques", 16), ("power_law", 33), ("cycle", 40)):
+        g = make_topology(family, n)
+        ranks = np.random.default_rng(n).permutation(n)
+        sigma = assign_random(g, np.random.default_rng(1))
+        a, b = (
+            observe(m, g, sigma, mode, np.random.default_rng(2))
+            for m in (NoisySorting(ranks, 0.3), make_noisy_sorting(ranks, 0.3))
+        )
+        assert np.array_equal(a.pairs, b.pairs)
+        assert a.values.tobytes() == b.values.tobytes()
+    with pytest.raises(ValueError):
+        observe(NoisySorting(identity_permutation(5), 0.1), g, identity_permutation(40), mode)
 
 
 def test_empirical_scores_expectation_equals_true_scores():
