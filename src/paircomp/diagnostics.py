@@ -3,8 +3,10 @@
 The minimax lower bound for noisy-sorting estimation on a fixed graph is
 max(alpha(alpha - 1), beta(G^c)) / (4 n^2), where alpha is the independence
 number and beta(G^c) the largest biclique of the complement.  Both are
-computed exactly (branch and bound / pruned subset search) within a search
-budget, with closed forms substituted for the tagged families at larger n.
+given in closed form at every n for the star, path, cycle, complete and
+two_cliques families (by the graph's family tag).  Any other graph goes to
+the exact searches (branch and bound / pruned subset search), which hold to
+n <= 32 for alpha and n <= 20 for beta and raise SearchBudgetError past that.
 The module also constructs the adversarial matrix pairs that certify the
 bound: two noisy-sorting matrices that agree on every observed edge yet
 differ by a known Frobenius separation.
@@ -62,7 +64,7 @@ def max_independent_set(g: Graph, budget: int = INDEPENDENT_SET_BUDGET) -> tuple
 
     def expand(candidates: int, current: int, size: int) -> None:
         nonlocal best_size, best_mask
-        if size + bin(candidates).count("1") <= best_size:
+        if size + candidates.bit_count() <= best_size:
             return
         if candidates == 0:
             if size > best_size:
@@ -94,17 +96,14 @@ def max_biclique_complement(g: Graph, budget: int = BICLIQUE_BUDGET) -> tuple[in
     best = 0
     best_parts = (0, 0)
 
-    def count(mask: int) -> int:
-        return bin(mask).count("1")
-
     def expand(v: int, part1: int, size1: int, avail: int) -> None:
         nonlocal best, best_parts
         if size1 > 0:
-            score = size1 * count(avail)
+            score = size1 * avail.bit_count()
             if score > best:
                 best, best_parts = score, (part1, avail)
         remaining = g.n - v
-        if v >= g.n or (size1 + remaining) * count(avail) <= best:
+        if v >= g.n or (size1 + remaining) * avail.bit_count() <= best:
             return
         bit = 1 << v
         expand(v + 1, part1 | bit, size1 + 1, avail & ~bit & ~nbr[v])
@@ -116,50 +115,42 @@ def max_biclique_complement(g: Graph, budget: int = BICLIQUE_BUDGET) -> tuple[in
     return best, (v1, v2)
 
 
-# closed forms for the families whose diagnostics are needed past the budgets
+# closed forms, equal to the exact searches' witnesses wherever those run
 def _closed_form_witnesses(g: Graph):
     n = g.n
     if g.family == "star":
-        leaves = tuple(range(1, n))
+        ind = tuple(range(1, n)) if n > 2 else (0,)
         half = (n - 1) // 2
-        return leaves, (leaves[:half], leaves[half:])
-    if g.family == "path":
+        v1, v2 = ind[:half], ind[half:]
+    elif g.family == "path":
         ind = tuple(range(0, n, 2))
         k = (n - 1) // 2
-        return ind, (tuple(range(k)), tuple(range(k + 1, n)))
-    if g.family == "cycle":
+        v1, v2 = tuple(range(k)), tuple(range(k + 1, n))
+    elif g.family == "cycle":
         ind = tuple(range(0, 2 * (n // 2), 2))
         k = (n - 2) // 2
-        return ind, (tuple(range(k)), tuple(range(k + 1, n - 1)))
-    if g.family == "complete":
-        return (0,), ((), ())
-    if g.family == "two_cliques":
+        v1, v2 = tuple(range(k)), tuple(range(k + 1, n - 1))
+    elif g.family == "complete":
+        ind, v1, v2 = (0,), (), ()
+    elif g.family == "two_cliques":
         h = n // 2
-        return (0, h), (tuple(range(h)), tuple(range(h, n)))
-    return None
+        ind, v1, v2 = (0, h), tuple(range(h)), tuple(range(h, n))
+    else:
+        return None
+    return ind, ((v1, v2) if v1 and v2 else ((), ()))
 
 
 def _alpha_with_witness(g: Graph) -> tuple[int, tuple[int, ...]]:
-    if g.n <= INDEPENDENT_SET_BUDGET:
-        return max_independent_set(g)
     closed = _closed_form_witnesses(g)
     if closed is None:
-        raise SearchBudgetError(
-            f"n={g.n} exceeds the exact search budget and family "
-            f"{g.family!r} has no closed form"
-        )
+        return max_independent_set(g)
     return len(closed[0]), closed[0]
 
 
 def _beta_with_witness(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    if g.n <= BICLIQUE_BUDGET:
-        return max_biclique_complement(g)
     closed = _closed_form_witnesses(g)
     if closed is None:
-        raise SearchBudgetError(
-            f"n={g.n} exceeds the exact search budget and family "
-            f"{g.family!r} has no closed form"
-        )
+        return max_biclique_complement(g)
     v1, v2 = closed[1]
     return len(v1) * len(v2), (v1, v2)
 
@@ -184,42 +175,31 @@ class AdversarialPair:
 def adversarial_pair(g: Graph, mode: str, lam: float = ADVERSARIAL_LAMBDA) -> AdversarialPair:
     """Construct the certificate pair for one of the two lower-bound terms.
 
-    independent_set mode ranks the witness items first, in witness order
-    under pi1 and reversed under pi2.  biclique mode ranks V1 then V2 under
-    pi1 and V2 then V1 under pi2.  All other items keep identical ranks, so
-    the two matrices agree on every graph edge.
+    A list of blocks takes the top ranks, in order under pi1 and in reverse
+    order under pi2: the witness items as singletons in independent_set
+    mode, [V1, V2] in biclique mode.  All other items keep identical ranks,
+    so the two matrices agree on every graph edge.
     """
     if mode not in ("independent_set", "biclique"):
         raise ValueError(f"unknown adversarial mode {mode!r}")
     if not 0.0 < lam <= 0.5:
         raise ValueError(f"lambda must lie in (0, 1/2], got {lam}")
-    n = g.n
-    pi1 = identity_permutation(n)
-    pi2 = identity_permutation(n)
     if mode == "independent_set":
         alpha, witness = _alpha_with_witness(g)
         if alpha < 2:
             raise ValueError(f"independent set of size {alpha} gives no pair")
-        ind = np.fromiter(witness, dtype=np.int64)
-        rest = np.setdiff1d(np.arange(n), ind)
-        pi1[ind] = np.arange(alpha)
-        pi2[ind] = np.arange(alpha - 1, -1, -1)
-        pi1[rest] = pi2[rest] = np.arange(alpha, n)
-        wit: tuple = witness
+        blocks: tuple = tuple((v,) for v in witness)
     else:
-        beta, (w1, w2) = _beta_with_witness(g)
-        if not w1 or not w2:
+        _, witness = _beta_with_witness(g)
+        if not all(witness):
             raise ValueError("graph admits no complement biclique with nonempty parts")
-        v1 = np.fromiter(w1, dtype=np.int64)
-        v2 = np.fromiter(w2, dtype=np.int64)
-        rest = np.setdiff1d(np.arange(n), np.concatenate((v1, v2)))
-        a, b = len(v1), len(v2)
-        pi1[v1] = np.arange(a)
-        pi1[v2] = np.arange(a, a + b)
-        pi2[v2] = np.arange(b)
-        pi2[v1] = np.arange(b, a + b)
-        pi1[rest] = pi2[rest] = np.arange(a + b, n)
-        wit = (w1, w2)
+        blocks = witness
+    top1 = [v for block in blocks for v in block]
+    top2 = [v for block in reversed(blocks) for v in block]
+    rest = sorted(set(range(g.n)).difference(top1))
+    pi1 = identity_permutation(g.n)
+    pi2 = identity_permutation(g.n)
+    pi1[top1 + rest] = pi2[top2 + rest] = np.arange(g.n)
     return AdversarialPair(
         m1=make_noisy_sorting(pi1, lam),
         m2=make_noisy_sorting(pi2, lam),
@@ -227,7 +207,7 @@ def adversarial_pair(g: Graph, mode: str, lam: float = ADVERSARIAL_LAMBDA) -> Ad
         pi2=pi2,
         lam=lam,
         mode=mode,
-        witness=wit,
+        witness=witness,
     )
 
 

@@ -114,11 +114,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _complete_edges(n: int) -> np.ndarray:
-    iu = np.triu_indices(n, k=1)
-    return np.column_stack(iu)
-
-
 def _clique_edges(vertices: np.ndarray) -> np.ndarray:
     iu = np.triu_indices(len(vertices), k=1)
     return np.column_stack((vertices[iu[0]], vertices[iu[1]]))
@@ -163,7 +158,7 @@ def make_topology(
 
     h = n // 2
     if family == "complete":
-        edges = _complete_edges(n)
+        edges = _clique_edges(np.arange(n))
     elif family == "two_cliques":
         edges = np.vstack(
             [_clique_edges(np.arange(h)), _clique_edges(np.arange(h, n))]

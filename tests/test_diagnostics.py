@@ -17,6 +17,7 @@ from paircomp import (
     report_to_json,
     report_to_text,
 )
+from paircomp import diagnostics
 
 
 def alpha_bruteforce(g):
@@ -98,22 +99,67 @@ def test_budget_errors():
         max_biclique_complement(make_graph(21, [(0, 1)]))
 
 
-@pytest.mark.parametrize(
-    "family,alpha_formula,beta_formula",
-    [
-        ("star", lambda n: n - 1, lambda n: ((n - 1) // 2) * ((n - 1) - (n - 1) // 2)),
-        ("path", lambda n: (n + 1) // 2, lambda n: ((n - 1) // 2) * ((n - 1) - (n - 1) // 2)),
-        ("cycle", lambda n: n // 2, lambda n: ((n - 2) // 2) * ((n - 2) - (n - 2) // 2)),
-        ("complete", lambda n: 1, lambda n: 0),
-        ("two_cliques", lambda n: 2, lambda n: (n // 2) ** 2),
-    ],
-)
+CLOSED_FORMS = [
+    ("star", lambda n: n - 1, lambda n: ((n - 1) // 2) * ((n - 1) - (n - 1) // 2)),
+    ("path", lambda n: (n + 1) // 2, lambda n: ((n - 1) // 2) * ((n - 1) - (n - 1) // 2)),
+    ("cycle", lambda n: n // 2, lambda n: ((n - 2) // 2) * ((n - 2) - (n - 2) // 2)),
+    ("complete", lambda n: 1, lambda n: 0),
+    ("two_cliques", lambda n: 2, lambda n: (n // 2) ** 2),
+]
+
+
+@pytest.mark.parametrize("family,alpha_formula,beta_formula", CLOSED_FORMS)
 def test_closed_forms_match_exact_search(family, alpha_formula, beta_formula):
-    sizes = (6, 8, 12) if family != "cycle" else (6, 9, 12)
-    for n in sizes:
+    # the report takes the closed forms; the exact searches are the oracle
+    first, step = {"cycle": (3, 1), "two_cliques": (4, 2)}.get(family, (2, 1))
+    for n in range(first, diagnostics.INDEPENDENT_SET_BUDGET + 1, step):
         g = make_topology(family, n)
-        assert max_independent_set(g)[0] == alpha_formula(n)
-        assert max_biclique_complement(g)[0] == beta_formula(n)
+        report = minimax_lower_bound(g)
+        assert (report.alpha, report.beta_complement) == (alpha_formula(n), beta_formula(n))
+        assert max_independent_set(g) == (report.alpha, report.independent_set)
+        if n <= diagnostics.BICLIQUE_BUDGET:
+            assert max_biclique_complement(g) == (report.beta_complement, report.biclique)
+
+
+@pytest.mark.parametrize("family,alpha_formula,beta_formula", CLOSED_FORMS)
+def test_closed_form_witnesses_valid_past_budget(family, alpha_formula, beta_formula):
+    for n in (34, 64, 102) if family == "two_cliques" else (33, 64, 101):
+        g = make_topology(family, n)
+        a = adjacency_matrix(g)
+        report = minimax_lower_bound(g)
+        ind = report.independent_set
+        v1, v2 = report.biclique
+        assert report.alpha == len(ind) == alpha_formula(n)
+        assert not any(a[u, v] for u, v in itertools.combinations(ind, 2))
+        assert not set(v1) & set(v2)
+        assert not any(a[u, v] for u in v1 for v in v2)
+        assert report.beta_complement == len(v1) * len(v2) == beta_formula(n)
+
+
+class SearchReached(Exception):
+    pass
+
+
+def test_closed_form_families_skip_exact_search(monkeypatch):
+    def search(g, budget=None):
+        raise SearchReached(g.family)
+
+    monkeypatch.setattr(diagnostics, "max_independent_set", search)
+    monkeypatch.setattr(diagnostics, "max_biclique_complement", search)
+    for family in ("star", "path", "cycle", "two_cliques"):
+        g = make_topology(family, 8)
+        minimax_lower_bound(g)
+        for mode in ("independent_set", "biclique"):
+            adversarial_pair(g, mode)
+    complete = make_topology("complete", 8)
+    assert minimax_lower_bound(complete).alpha == 1
+    for mode in ("independent_set", "biclique"):
+        with pytest.raises(ValueError):  # alpha = 1 and beta = 0 give no pair
+            adversarial_pair(complete, mode)
+    with pytest.raises(SearchReached):
+        minimax_lower_bound(make_topology("clique_plus_path", 8))
+    with pytest.raises(SearchReached):
+        adversarial_pair(make_topology("clique_plus_path", 8), "biclique")
 
 
 def test_closed_forms_kick_in_past_budget():
