@@ -223,6 +223,7 @@ class DiagnosticsReport:
 
 def minimax_lower_bound(g: Graph) -> DiagnosticsReport:
     """Assemble the worst-case report: max(alpha(alpha-1), beta(G^c)) / (4 n^2)."""
+    d_g = degree_functional(g)  # raises on an isolated vertex before any search
     alpha, ind_witness = _alpha_with_witness(g)
     beta, bic_witness = _beta_with_witness(g)
     lb = max(alpha * (alpha - 1), beta) / (4.0 * g.n**2)
@@ -230,7 +231,7 @@ def minimax_lower_bound(g: Graph) -> DiagnosticsReport:
         alpha=alpha,
         beta_complement=beta,
         minimax_lb=lb,
-        degree_functional=degree_functional(g),
+        degree_functional=d_g,
         independent_set=ind_witness,
         biclique=bic_witness,
     )

@@ -137,14 +137,15 @@ def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> Bis
     """Euclidean projection onto the bivariate isotonic set.
 
     Dykstra's alternating projections over (a) the per-row nondecreasing
-    cones via PAV and (b) the skew/box set M + M^T = ee^T, 0 <= M <= 1.
-    Projecting onto (b) separates over the entry pairs (i, j), (j, i), each
-    projected onto the segment from (0, 1) to (1, 0), which gives the closed
-    form clip((x - x^T + 1)/2, 0, 1).  Column monotonicity follows from row
-    monotonicity plus the skew constraint.  Stops when successive sweeps
-    move less than tol in Frobenius norm and the row-monotonicity residual
-    is below tol/2; on hitting max_iter the best iterate is returned with
-    converged=False.
+    cones via PAV, with one correction term, and (b) the affine skew set
+    M + M^T = ee^T, projected by (x - x^T + 1)/2 with none needed.  The box
+    0 <= M <= 1 is slack: the start t = clip((x - x^T + 1)/2, 0, 1) lies in
+    [0, 1], and so does the isotonic fit of t on the upper triangle, an
+    average of level sets of t; one clip on return covers iterates stopped
+    within tol.  Column monotonicity follows from row monotonicity plus the
+    skew constraint.  Stops when successive sweeps move less than tol in
+    Frobenius norm and the row-monotonicity residual is below tol/2; on
+    hitting max_iter the best iterate is returned with converged=False.
     """
     x0 = np.asarray(x, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != x0.shape[1]:
@@ -154,22 +155,19 @@ def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> Bis
     n = x0.shape[0]
     x = np.clip(0.5 * (x0 - x0.T + 1.0), 0.0, 1.0)
     p = np.zeros_like(x)
-    q = np.zeros_like(x)
     y = np.empty_like(x)
     for it in range(1, max_iter + 1):
         z = x + p
         for i in range(n):
             y[i] = _scipy_isotonic(z[i]).x
         p = z - y
-        z = y + q
-        x_new = np.clip(0.5 * (z - z.T + 1.0), 0.0, 1.0)
-        q = z - x_new
+        x_new = 0.5 * (y - y.T + 1.0)
         delta = float(np.linalg.norm(x_new - x))
         viol = float(max(0.0, -np.min(np.diff(x_new, axis=1)))) if n > 1 else 0.0
         x = x_new
         if delta < tol and viol <= 0.5 * tol:
-            return BisoProjection(matrix=x, converged=True, iterations=it)
-    return BisoProjection(matrix=x, converged=False, iterations=max_iter)
+            return BisoProjection(matrix=np.clip(x, 0.0, 1.0), converged=True, iterations=it)
+    return BisoProjection(matrix=np.clip(x, 0.0, 1.0), converged=False, iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +223,8 @@ def block_partition(values, t: float, upper: float | None = None) -> BlockPartit
     while bounds[-1] < top:
         bounds.append(float(np.floor(k * t)))
         k += 1
-    lows = np.unique(bounds[:-1])  # last bound only closes the final interval
-    lows = lows[lows < top]
+    lows = np.unique(bounds[:-1])  # all below top, so top values land in the last interval
     idx = np.searchsorted(lows, v, side="right") - 1
-    idx = np.clip(idx, 0, len(lows) - 1)  # top values go to the last interval
     groups = tuple(
         np.flatnonzero(idx == g) for g in range(len(lows)) if np.any(idx == g)
     )
@@ -300,13 +296,12 @@ def bap_estimate(
     pi_hat = asp_sort(tau_hat)
 
     if single_sample:
-        m_blocked = block_average(*sample_matrix(s1), partition)
-    else:
-        if s2 is None:
-            raise ValueError("two-sample BAP needs a second observation sample")
-        if s2.n != g.n:
-            raise ValueError(f"sample size {s2.n} does not match graph size {g.n}")
-        m_blocked = block_average(*sample_matrix(s2), partition)
+        s2 = s1
+    if s2 is None:
+        raise ValueError("two-sample BAP needs a second observation sample")
+    if s2.n != g.n:
+        raise ValueError(f"sample size {s2.n} does not match graph size {g.n}")
+    m_blocked = block_average(*sample_matrix(s2), partition)
 
     inv = inverse_permutation(pi_hat)
     projected = project_biso(permute_matrix(m_blocked, inv), tol=tol, max_iter=max_iter)

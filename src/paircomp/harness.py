@@ -170,12 +170,11 @@ def run_trial(
             else:
                 err = frobenius_error(result.m_hat, m_star)
         else:
+            s2 = s1  # bap1 reuses the first sample
             if spec.estimator == "bap":
                 sigma2 = assign_random(g, rng)
                 s2 = observe(m_star, g, sigma2, spec.mode, value_rng)
-                m_hat = bap_estimate(s1, s2, g)
-            else:  # bap1
-                m_hat = bap_estimate(s1, None, g, single_sample=True)
+            m_hat = bap_estimate(s1, s2, g)
             if spec.model == "ns":
                 m_star = make_noisy_sorting(pi_star, spec.lambda_star)
             err = frobenius_error(m_hat, m_star)

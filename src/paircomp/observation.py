@@ -133,17 +133,30 @@ def sample_to_text(s: ObservationSample) -> str:
 
 
 def sample_from_text(text: str) -> ObservationSample:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n, k = (int(tok) for tok in lines[0].split())
+    """Parse :func:`sample_to_text` output; malformed input raises ValueError
+    naming its line."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines:
+        raise ValueError("empty sample text")
+    n, k = (int(tok) for tok in lines[0][1].split())
     if len(lines) != k + 2:
         raise ValueError(f"header promises {k} pairs, found {len(lines) - 2}")
     pairs = np.empty((k, 2), dtype=np.int64)
     values = np.empty(k, dtype=np.float64)
-    for r, ln in enumerate(lines[1 : k + 1]):
+    for r, (no, ln) in enumerate(lines[1 : k + 1]):
         i, j, v = ln.split()
         pairs[r] = (int(i), int(j))
         values[r] = float(v)
-    sigma = check_permutation([int(tok) for tok in lines[-1].split(",")])
+        if not 0 <= pairs[r, 0] < pairs[r, 1] < n:
+            raise ValueError(f"line {no}: pair ({i}, {j}) needs 0 <= i < j < {n}")
+        if r > 0 and tuple(pairs[r]) <= tuple(pairs[r - 1]):
+            raise ValueError(f"line {no}: pairs must be strictly increasing")
+        if not 0.0 <= values[r] <= 1.0:
+            raise ValueError(f"line {no}: value {v} outside [0, 1]")
+    no, ln = lines[-1]
+    sigma = np.array([int(tok) for tok in ln.split(",")], dtype=np.int64)
+    if len(sigma) != n or not np.array_equal(np.sort(sigma), np.arange(n)):
+        raise ValueError(f"line {no}: assignment must be a permutation of 0..{n - 1}")
     pairs.setflags(write=False)
     values.setflags(write=False)
     return ObservationSample(n=n, pairs=pairs, values=values, assignment=sigma)

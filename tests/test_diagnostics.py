@@ -162,6 +162,16 @@ def test_closed_form_families_skip_exact_search(monkeypatch):
         adversarial_pair(make_topology("clique_plus_path", 8), "biclique")
 
 
+def test_isolated_vertex_raises_before_any_search(monkeypatch):
+    def search(g, budget=None):
+        raise AssertionError("exact search ran on a graph with an isolated vertex")
+
+    monkeypatch.setattr(diagnostics, "max_independent_set", search)
+    monkeypatch.setattr(diagnostics, "max_biclique_complement", search)
+    with pytest.raises(ValueError, match="vertex 2 is isolated; degree functional undefined"):
+        minimax_lower_bound(make_graph(5, [(0, 1)]))
+
+
 def test_closed_forms_kick_in_past_budget():
     # large graphs work through the family closed forms
     r = minimax_lower_bound(make_topology("star", 100))

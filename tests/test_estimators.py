@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from paircomp import (
     asp_estimate,
@@ -8,6 +9,7 @@ from paircomp import (
     bap_estimate,
     block_average,
     block_partition,
+    empirical_scores,
     identity_permutation,
     inverse_permutation,
     inversion_set,
@@ -21,6 +23,7 @@ from paircomp import (
     project_biso,
     reverse_permutation,
     row_block_average,
+    sample_matrix,
     sample_sst_bands,
     assign_random,
 )
@@ -210,6 +213,76 @@ def test_project_matches_qp_oracle_small_n():
         assert np.abs(ours.matrix - x.value).max() < 1e-5
 
 
+def biso_projection_by_nnls(x):
+    """Exact projection from the NNLS dual of isotonic regression.
+
+    On the strict upper triangle the biso set is 2-D isotonic regression
+    (rows nondecreasing, columns nonincreasing) bounded to [1/2, 1], and the
+    bounded fit is the unbounded one clipped.  With constraints D u >= 0 and
+    target s, the unbounded fit is u = s + D^T lam, lam = argmin_{lam >= 0}
+    ||D^T lam + s||.  Returns u, its KKT residual (primal infeasibility and
+    complementarity; stationarity holds by construction) and the projection.
+    """
+    n = x.shape[0]
+    iu = np.triu_indices(n, 1)
+    i, j = iu
+    pos = np.zeros((n, n), dtype=np.int64)
+    pos[iu] = np.arange(len(i))
+    row, col = j + 1 < n, i + 1 < j
+    lo = np.concatenate([pos[i[row], j[row]], pos[i[col] + 1, j[col]]])
+    hi = np.concatenate([pos[i[row], j[row] + 1], pos[i[col], j[col]]])
+    d = np.zeros((len(lo), len(i)))
+    d[np.arange(len(lo)), lo] = -1.0
+    d[np.arange(len(lo)), hi] = 1.0
+    s = np.clip(0.5 * (x - x.T + 1.0), 0.0, 1.0)[iu]
+    lam = nnls(d.T, -s)[0] if len(lo) else np.zeros(0)
+    u = s + d.T @ lam
+    slack = d @ u
+    kkt = max(0.0, -slack.min(initial=0.0), np.abs(lam * slack).max(initial=0.0))
+    out = np.full((n, n), 0.5)
+    out[iu] = np.clip(u, 0.5, 1.0)
+    out.T[iu] = 1.0 - out[iu]
+    return u, kkt, out
+
+
+def bap_projection_input(family, n, seed):
+    """The block-constant matrix bap_estimate hands to project_biso."""
+    rng = np.random.default_rng(seed)
+    g = make_topology(family, n)
+    m = sample_sst_bands(n, rng)
+    s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    tau = empirical_scores(s1)
+    t = float(np.sum(1.0 / np.sqrt(g.degrees)))
+    c = block_partition(np.clip(n * tau, 0.0, n), t, upper=n)
+    inv = inverse_permutation(asp_sort(tau))
+    return permute_matrix(block_average(*sample_matrix(s2), c), inv)
+
+
+def test_project_matches_nnls_dual_oracle():
+    rng = np.random.default_rng(20)
+    inputs = [rng.random((n, n)) for n in range(2, 11)]
+    # scipy's nnls can stop short of optimal on tied block inputs, so every
+    # oracle answer is certified by its KKT residual before it is compared
+    inputs += [
+        bap_projection_input(family, n, seed)
+        for family, n, seed in (
+            ("power_law", 16, 1),
+            ("power_law", 32, 25),
+            ("clique_plus_path", 16, 0),
+            ("clique_plus_path", 32, 1),
+        )
+    ]
+    for x in inputs:
+        u, kkt, exact = biso_projection_by_nnls(x)
+        assert kkt < 1e-12
+        # the unclipped fit already lies in [0, 1]: the box never binds
+        assert -1e-12 <= u.min() and u.max() <= 1.0 + 1e-12
+        proj = project_biso(x, tol=1e-12, max_iter=100_000)
+        assert proj.converged
+        assert np.abs(proj.matrix - exact).max() < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # blocking
 # ---------------------------------------------------------------------------
@@ -235,6 +308,14 @@ def test_block_partition_top_value_and_bounds():
         block_partition(np.array([7.0]), 3.0, upper=6.0)
     with pytest.raises(ValueError):
         block_partition(np.array([1.0]), 0.0)
+    # without upper, the largest value sets top = 6 and joins the last interval [3, 6]
+    c = block_partition(np.array([0.0, 2.5, 6.0, 6.0]), 3.0)
+    assert [g.tolist() for g in c.groups] == [[0, 1], [2, 3]]
+    # t < 1: the floored bounds 0, 0, 0, 1, 1, 2 give the intervals [0, 1), [1, 2]
+    c = block_partition(np.array([0.0, 0.9, 1.0, 1.5, 2.0]), 0.4)
+    assert [g.tolist() for g in c.groups] == [[0, 1], [2, 3, 4]]
+    c = block_partition(np.array([0.0, 0.1, 0.4]), 0.3)
+    assert [g.tolist() for g in c.groups] == [[0, 1, 2]]
 
 
 def test_block_partition_invariants_random():
@@ -344,6 +425,7 @@ def test_bap_single_sample_flag_and_validation():
     s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
     one = bap_estimate(s1, None, g, single_sample=True)
     assert one.shape == (n, n)
+    assert one.tobytes() == bap_estimate(s1, s1, g).tobytes()
     with pytest.raises(ValueError):
         bap_estimate(s1, None, g)  # two-sample needs s2
 

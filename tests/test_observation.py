@@ -168,3 +168,26 @@ def test_sample_text_round_trip():
     assert np.array_equal(s2.pairs, s.pairs)
     assert np.array_equal(s2.values, s.values)
     assert np.array_equal(s2.assignment, s.assignment)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty sample text"),
+        ("\n  \n", "empty sample text"),
+        ("3 2\n0 5 0.5\n2 1 7.0\n0,1\n", "line 2: pair \\(0, 5\\)"),
+        ("3 2\n0 1 0.5\n2 1 0.5\n0,1,2\n", "line 3: pair \\(2, 1\\)"),
+        ("3 2\n0 1 0.5\n1 1 0.5\n0,1,2\n", "line 3: pair \\(1, 1\\)"),
+        ("3 2\n0 2 0.5\n0 1 0.5\n0,1,2\n", "line 3: pairs must be strictly increasing"),
+        ("3 2\n0 1 0.5\n0 1 0.5\n0,1,2\n", "line 3: pairs must be strictly increasing"),
+        ("3 2\n0 1 0.5\n\n0 2 7.0\n0,1,2\n", "line 4: value 7.0 outside"),
+        ("3 2\n0 1 -0.5\n0 2 1\n0,1,2\n", "line 2: value -0.5 outside"),
+        ("3 2\n0 1 nan\n0 2 1\n0,1,2\n", "line 2: value nan outside"),
+        ("3 2\n0 1 0.5\n0 2 0.5\n0,1\n", "line 4: assignment must be a permutation"),
+        ("3 2\n0 1 0.5\n0 2 0.5\n0,1,1\n", "line 4: assignment must be a permutation"),
+        ("3 2\n0 1 0.5\n0 2 0.5\n0,1,2,3\n", "line 4: assignment must be a permutation"),
+    ],
+)
+def test_sample_from_text_rejects_malformed_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        sample_from_text(text)
