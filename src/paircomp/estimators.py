@@ -133,19 +133,43 @@ class BisoProjection:
     iterations: int
 
 
+def _pav_chains(z: np.ndarray, w: np.ndarray, chain: np.ndarray, increasing: bool) -> np.ndarray:
+    """Weighted PAV of every chain of z at once, chains laid end to end.
+
+    Chain k is shifted by k * (ptp(z) + 1), up for increasing fits and down
+    for decreasing ones, so consecutive chains never violate the order
+    between them and PAV never pools across a chain boundary.
+    """
+    span = z.max(initial=0.0) - z.min(initial=0.0) + 1.0
+    offset = chain * (span if increasing else -span)
+    return _scipy_isotonic(z + offset, weights=w, increasing=increasing).x - offset
+
+
 def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> BisoProjection:
     """Euclidean projection onto the bivariate isotonic set.
 
-    Dykstra's alternating projections over (a) the per-row nondecreasing
-    cones via PAV, with one correction term, and (b) the affine skew set
-    M + M^T = ee^T, projected by (x - x^T + 1)/2 with none needed.  The box
-    0 <= M <= 1 is slack: the start t = clip((x - x^T + 1)/2, 0, 1) lies in
-    [0, 1], and so does the isotonic fit of t on the upper triangle, an
-    average of level sets of t; one clip on return covers iterates stopped
-    within tol.  Column monotonicity follows from row monotonicity plus the
-    skew constraint.  Stops when successive sweeps move less than tol in
-    Frobenius norm and the row-monotonicity residual is below tol/2; on
-    hitting max_iter the best iterate is returned with converged=False.
+    By skew symmetry (M + M^T = ee^T) the problem lives on the strict upper
+    triangle: fit t = clip((x - x^T + 1)/2, 0, 1) there with rows
+    nondecreasing, columns nonincreasing and values in [1/2, 1].
+
+    Maximal runs of identical consecutive rows of t form groups S_a (g = n
+    on generic input); identical rows have identical columns too, so t is
+    constant on each S_a x S_b and 1/2 on the diagonal blocks.  Reducing to
+    the g x g grid is exact: averaging a feasible matrix over each
+    off-diagonal rectangle keeps it feasible and, t being constant there,
+    cannot raise the objective, while setting the diagonal blocks to 1/2 is
+    feasible once values lie in [1/2, 1].  The unique projection is thus
+    block-constant: weighted isotonic regression with weights |S_a||S_b|.
+
+    One clip suffices: bounded isotonic regression is the unbounded fit
+    clipped to the bounds.  The unbounded fit is Dykstra over the row and
+    column cones, one correction array each, and each half-step is one
+    batched PAV call (:func:`_pav_chains`) whose chain offsets round the
+    fit by about g * ulp(ptp + 1), far below tol.  Stops when a sweep moves
+    the expanded matrix less than tol in Frobenius norm and the row and
+    column monotonicity residuals are at most tol/2, so the output passes
+    ``is_biso(matrix, tol)``; at max_iter the last iterate is returned with
+    converged=False.  iterations counts sweeps.
     """
     x0 = np.asarray(x, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != x0.shape[1]:
@@ -153,21 +177,38 @@ def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> Bis
     if tol <= 0:
         raise ValueError("tol must be positive")
     n = x0.shape[0]
-    x = np.clip(0.5 * (x0 - x0.T + 1.0), 0.0, 1.0)
-    p = np.zeros_like(x)
-    y = np.empty_like(x)
-    for it in range(1, max_iter + 1):
-        z = x + p
-        for i in range(n):
-            y[i] = _scipy_isotonic(z[i]).x
+    t = np.clip(0.5 * (x0 - x0.T + 1.0), 0.0, 1.0)
+    starts = np.flatnonzero(np.r_[True, np.any(t[1:] != t[:-1], axis=1)])
+    sizes = np.diff(np.r_[starts, n])
+    g = len(starts)
+    a, b = np.triu_indices(g, 1)  # row-major: row chains are contiguous
+    by_col = np.lexsort((a, b))  # column-major order of the same entries
+    w = (sizes[a] * sizes[b]).astype(np.float64)
+    same_row = a[1:] == a[:-1]
+    same_col = b[by_col][1:] == b[by_col][:-1]
+    u = t[starts[a], starts[b]]
+    p = np.zeros_like(u)
+    q = np.zeros_like(u)
+    converged, it = False, 0
+    while not converged and it < max_iter:
+        it += 1
+        z = u + p
+        y = _pav_chains(z, w, a, increasing=True)
         p = z - y
-        x_new = 0.5 * (y - y.T + 1.0)
-        delta = float(np.linalg.norm(x_new - x))
-        viol = float(max(0.0, -np.min(np.diff(x_new, axis=1)))) if n > 1 else 0.0
-        x = x_new
-        if delta < tol and viol <= 0.5 * tol:
-            return BisoProjection(matrix=np.clip(x, 0.0, 1.0), converged=True, iterations=it)
-    return BisoProjection(matrix=np.clip(x, 0.0, 1.0), converged=False, iterations=max_iter)
+        z = y + q
+        u_new = np.empty_like(u)
+        u_new[by_col] = _pav_chains(z[by_col], w[by_col], b[by_col], increasing=False)
+        q = z - u_new
+        move = np.sqrt(2.0 * np.sum(w * (u_new - u) ** 2))
+        u = u_new
+        row_viol = -np.diff(u)[same_row].min(initial=0.0)
+        col_viol = np.diff(u[by_col])[same_col].max(initial=0.0)
+        converged = bool(move < tol and max(row_viol, col_viol) <= 0.5 * tol)
+    grid = np.full((g, g), 0.5)
+    grid[a, b] = np.clip(u, 0.5, 1.0)
+    grid[b, a] = 1.0 - grid[a, b]
+    lab = np.repeat(np.arange(g), sizes)
+    return BisoProjection(matrix=grid[lab[:, None], lab], converged=converged, iterations=it)
 
 
 # ---------------------------------------------------------------------------
