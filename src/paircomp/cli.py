@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -126,7 +127,9 @@ def _cmd_slope(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="paircomp",
         description="Pairwise-comparison estimation experiments on fixed topologies",
@@ -163,8 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     p_slope = sub.add_parser("slope", help="fit log-log slopes from a results CSV")
     p_slope.add_argument("--input", required=True)
     p_slope.set_defaults(func=_cmd_slope)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

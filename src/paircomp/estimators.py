@@ -15,13 +15,8 @@ import numpy as np
 from scipy.optimize import isotonic_regression as _scipy_isotonic
 
 from .graphs import Graph
-from .models import (
-    check_permutation,
-    inverse_permutation,
-    make_noisy_sorting,
-    permute_matrix,
-)
-from .observation import ObservationSample, empirical_scores, sample_matrix
+from .models import check_permutation, make_noisy_sorting
+from .observation import ObservationSample, empirical_scores
 
 __all__ = [
     "AspResult",
@@ -145,21 +140,28 @@ def _pav_chains(z: np.ndarray, w: np.ndarray, chain: np.ndarray, increasing: boo
     return _scipy_isotonic(z + offset, weights=w, increasing=increasing).x - offset
 
 
-def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> BisoProjection:
+def project_biso(
+    x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000, sizes=None
+) -> BisoProjection:
     """Euclidean projection onto the bivariate isotonic set.
+
+    x is the k x k grid of a block-constant matrix whose block a has
+    sizes[a] rows (default all ones: x itself); the result is the k x k grid
+    of that matrix's projection, block-constant on the same blocks.
 
     By skew symmetry (M + M^T = ee^T) the problem lives on the strict upper
     triangle: fit t = clip((x - x^T + 1)/2, 0, 1) there with rows
     nondecreasing, columns nonincreasing and values in [1/2, 1].
 
-    Maximal runs of identical consecutive rows of t form groups S_a (g = n
-    on generic input); identical rows have identical columns too, so t is
-    constant on each S_a x S_b and 1/2 on the diagonal blocks.  Reducing to
-    the g x g grid is exact: averaging a feasible matrix over each
-    off-diagonal rectangle keeps it feasible and, t being constant there,
-    cannot raise the objective, while setting the diagonal blocks to 1/2 is
-    feasible once values lie in [1/2, 1].  The unique projection is thus
-    block-constant: weighted isotonic regression with weights |S_a||S_b|.
+    Maximal runs of identical consecutive rows of t form groups S_a (g = k
+    on generic input) of |S_a| expanded rows; identical rows have identical
+    columns too, so t is constant on each S_a x S_b and 1/2 on the diagonal
+    blocks.  Reducing to the g x g grid is exact: averaging a feasible
+    matrix over each off-diagonal rectangle keeps it feasible and, t being
+    constant there, cannot raise the objective, while setting the diagonal
+    blocks to 1/2 is feasible once values lie in [1/2, 1].  The unique
+    projection is thus block-constant: weighted isotonic regression with
+    weights |S_a||S_b|.
 
     One clip suffices: bounded isotonic regression is the unbounded fit
     clipped to the bounds.  The unbounded fit is Dykstra over the row and
@@ -167,23 +169,26 @@ def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> Bis
     batched PAV call (:func:`_pav_chains`) whose chain offsets round the
     fit by about g * ulp(ptp + 1), far below tol.  Stops when a sweep moves
     the expanded matrix less than tol in Frobenius norm and the row and
-    column monotonicity residuals are at most tol/2, so the output passes
-    ``is_biso(matrix, tol)``; at max_iter the last iterate is returned with
-    converged=False.  iterations counts sweeps.
+    column monotonicity residuals are at most tol/2, so the expanded output
+    passes ``is_biso(matrix, tol)``; at max_iter the last iterate is
+    returned with converged=False.  iterations counts sweeps.
     """
     x0 = np.asarray(x, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != x0.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x0.shape}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = x0.shape[0]
+    k = x0.shape[0]
+    sizes = np.ones(k, dtype=np.int64) if sizes is None else np.asarray(sizes)
+    if sizes.shape != (k,) or not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes <= 0):
+        raise ValueError(f"sizes must be {k} positive integers")
     t = np.clip(0.5 * (x0 - x0.T + 1.0), 0.0, 1.0)
     starts = np.flatnonzero(np.r_[True, np.any(t[1:] != t[:-1], axis=1)])
-    sizes = np.diff(np.r_[starts, n])
+    merged = np.add.reduceat(sizes, starts)
     g = len(starts)
     a, b = np.triu_indices(g, 1)  # row-major: row chains are contiguous
     by_col = np.lexsort((a, b))  # column-major order of the same entries
-    w = (sizes[a] * sizes[b]).astype(np.float64)
+    w = (merged[a] * merged[b]).astype(np.float64)
     same_row = a[1:] == a[:-1]
     same_col = b[by_col][1:] == b[by_col][:-1]
     u = t[starts[a], starts[b]]
@@ -207,7 +212,7 @@ def project_biso(x: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> Bis
     grid = np.full((g, g), 0.5)
     grid[a, b] = np.clip(u, 0.5, 1.0)
     grid[b, a] = 1.0 - grid[a, b]
-    lab = np.repeat(np.arange(g), sizes)
+    lab = np.repeat(np.arange(g), np.diff(np.r_[starts, k]))
     return BisoProjection(matrix=grid[lab[:, None], lab], converged=converged, iterations=it)
 
 
@@ -272,6 +277,14 @@ def block_partition(values, t: float, upper: float | None = None) -> BlockPartit
     return BlockPartition(groups=groups, threshold=float(t))
 
 
+def _block_means(lab: np.ndarray, k: int, i, j, values) -> np.ndarray:
+    """k x k means of values at entries (i, j) by block (lab[i], lab[j]); 1/2 if none."""
+    key = lab[i] * k + lab[j]
+    counts = np.bincount(key, minlength=k * k)
+    sums = np.bincount(key, weights=values, minlength=k * k)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.5).reshape(k, k)
+
+
 def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.ndarray:
     """Replace each partition block with the mean of its observed entries.
 
@@ -280,16 +293,9 @@ def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.
     observed pair present in both orders with x_ji = 1 - x_ij).
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    lab = c.labels(n)
-    g = c.num_groups
-    ind = np.zeros((n, g))
-    ind[np.arange(n), lab] = 1.0
-    obs = observed.astype(np.float64)
-    counts = ind.T @ obs @ ind
-    sums = ind.T @ (x * obs) @ ind
-    vals = np.where(counts > 0, sums / np.where(counts > 0, counts, 1.0), 0.5)
-    return ind @ vals @ ind.T
+    lab = c.labels(x.shape[0])
+    i, j = np.nonzero(observed)
+    return _block_means(lab, c.num_groups, i, j, x[i, j])[lab[:, None], lab]
 
 
 def row_block_average(x: np.ndarray, c: BlockPartition) -> np.ndarray:
@@ -308,9 +314,8 @@ def row_block_average(x: np.ndarray, c: BlockPartition) -> np.ndarray:
 
 def bap_estimate(
     s1: ObservationSample,
-    s2: ObservationSample | None,
+    s2: ObservationSample,
     g: Graph,
-    single_sample: bool = False,
     tol: float = 1e-8,
     max_iter: int = 10000,
 ) -> np.ndarray:
@@ -318,36 +323,31 @@ def bap_estimate(
 
     Blocks come from the first sample: its rescaled row sums
     (n/D_i) sum_j Y_ij equal n times the empirical scores, which are
-    partitioned (clamped to [0, n]) with gap t = sum_v 1/sqrt(d_v) and also
-    give the score ranking.  The second sample is averaged within blocks
-    (the first again when single_sample is set), and the result is
-    projected onto the permuted bivariate isotonic set by conjugating with
-    the score ranking around :func:`project_biso`.  Raises RuntimeError
-    when the projection stops at max_iter without converging.
+    partitioned (clamped to [0, n]) with gap t = sum_v 1/sqrt(d_v).  The
+    groups are score intervals, so numbered from the highest they follow the
+    score ranking, and the k x k block means of the second sample (the first
+    again for single-sample BAP) go to :func:`project_biso` with the group
+    sizes.  Raises RuntimeError when the projection stops at max_iter
+    without converging.
     """
     if g.degrees.min() == 0:
         raise ValueError("comparison graph must have no isolated vertices")
-    if s1.n != g.n:
-        raise ValueError(f"sample size {s1.n} does not match graph size {g.n}")
+    for s in (s1, s2):
+        if s.n != g.n:
+            raise ValueError(f"sample size {s.n} does not match graph size {g.n}")
     n = g.n
 
     tau_hat = empirical_scores(s1)
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
     partition = block_partition(np.clip(n * tau_hat, 0.0, n), t, upper=n)
-    pi_hat = asp_sort(tau_hat)
+    k = partition.num_groups
+    lab = k - 1 - partition.labels(n)
 
-    if single_sample:
-        s2 = s1
-    if s2 is None:
-        raise ValueError("two-sample BAP needs a second observation sample")
-    if s2.n != g.n:
-        raise ValueError(f"sample size {s2.n} does not match graph size {g.n}")
-    m_blocked = block_average(*sample_matrix(s2), partition)
-
-    inv = inverse_permutation(pi_hat)
-    projected = project_biso(permute_matrix(m_blocked, inv), tol=tol, max_iter=max_iter)
+    i, j = s2.pairs[:, 0], s2.pairs[:, 1]
+    grid = _block_means(lab, k, np.r_[i, j], np.r_[j, i], np.r_[s2.values, 1.0 - s2.values])
+    projected = project_biso(grid, tol=tol, max_iter=max_iter, sizes=np.bincount(lab, minlength=k))
     if not projected.converged:
         raise RuntimeError(
             f"biso projection did not converge in {projected.iterations} iterations (tol {tol:g})"
         )
-    return permute_matrix(projected.matrix, pi_hat)
+    return projected.matrix[lab[:, None], lab]

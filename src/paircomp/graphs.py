@@ -100,9 +100,11 @@ def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
     The scalar key u * n + v orders rows (u, v) lexicographically, so one
     1-D sort replaces a row sort plus a two-key lexsort.
     """
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    return np.column_stack(np.divmod(np.sort(lo * n + hi), n))
+    key = np.minimum(pairs[:, 0], pairs[:, 1])
+    key *= n
+    key += np.maximum(pairs[:, 0], pairs[:, 1])
+    key.sort()
+    return np.column_stack(np.divmod(key, n))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear, nnls
@@ -252,13 +254,21 @@ def biso_projection_by_nnls(x):
     return u, kkt, out
 
 
-def bap_projection_input(family, n, seed):
-    """The block-constant matrix bap_estimate hands to project_biso."""
+def bap_draw(family, n, seed, mode="bernoulli"):
+    """Graph and two observation samples of one SST draw."""
     rng = np.random.default_rng(seed)
     g = make_topology(family, n)
     m = sample_sst_bands(n, rng)
-    s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-    s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    value_rng = rng if mode == "bernoulli" else None
+    s1 = observe(m, g, assign_random(g, rng), mode, value_rng)
+    s2 = observe(m, g, assign_random(g, rng), mode, value_rng)
+    return g, s1, s2
+
+
+def bap_projection_input(family, n, seed, mode="bernoulli"):
+    """BAP's block-averaged second sample as a dense matrix in score-rank
+    order: the input of the dense reference path."""
+    g, s1, s2 = bap_draw(family, n, seed, mode)
     tau = empirical_scores(s1)
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
     c = block_partition(np.clip(n * tau, 0.0, n), t, upper=n)
@@ -378,18 +388,21 @@ def expand_blocks(values, sizes):
     return values[np.ix_(lab, lab)]
 
 
+# block values whose middle two blocks agree everywhere; merged, the 3 x 3
+# grid violates a row and a column
+EQUAL_MIDDLE_BLOCKS = np.array(
+    [
+        [0.5, 0.9, 0.9, 0.6],
+        [0.1, 0.5, 0.5, 0.7],
+        [0.1, 0.5, 0.5, 0.7],
+        [0.4, 0.3, 0.3, 0.5],
+    ]
+)
+
+
 def test_project_merges_adjacent_groups_with_equal_blocks():
-    # BAP groups of sizes 2, 3, 2, 2 whose middle two blocks agree everywhere;
-    # the merged 3 x 3 grid violates a row and a column
-    values = np.array(
-        [
-            [0.5, 0.9, 0.9, 0.6],
-            [0.1, 0.5, 0.5, 0.7],
-            [0.1, 0.5, 0.5, 0.7],
-            [0.4, 0.3, 0.3, 0.5],
-        ]
-    )
-    x = expand_blocks(values, [2, 3, 2, 2])
+    # BAP groups of sizes 2, 3, 2, 2
+    x = expand_blocks(EQUAL_MIDDLE_BLOCKS, [2, 3, 2, 2])
     assert compress_rows(x)[2].tolist() == [2, 5, 2]
     _, kkt, exact = biso_projection_by_nnls(x)  # uncompressed oracle
     assert kkt < 1e-12
@@ -412,17 +425,34 @@ def test_project_keeps_nonadjacent_identical_rows_apart():
 
 def test_project_block_input_matches_uncompressed_solve():
     rng = np.random.default_rng(22)
+    grids = []
     for _ in range(5):
         g = int(rng.integers(2, 6))
         sizes = rng.integers(1, 4, size=g)
-        values = rng.random((g, g))
+        grids.append((rng.random((g, g)), sizes))
+    # blocks 1 and 2 agree everywhere, so their rows merge into one weighted group
+    grids.append((EQUAL_MIDDLE_BLOCKS, np.array([2, 3, 2, 2])))
+    for values, sizes in grids:
         x = expand_blocks(values, sizes)
         t, starts, _ = compress_rows(x)
-        assert len(starts) == g
+        assert len(starts) == len(np.unique(values, axis=0))
         # the same problem on n singleton groups: no compression at all
         kkt, exact = weighted_grid_projection_by_bvls(t, np.ones(len(x), dtype=np.int64))
         assert kkt <= 1e-12
-        assert np.abs(project_biso(x, tol=1e-12).matrix - exact).max() < 1e-12
+        dense = project_biso(x, tol=1e-12)
+        assert np.abs(dense.matrix - exact).max() < 1e-12
+        # the grid with its block sizes: the same solve, the grid of its answer
+        firsts = np.r_[0, np.cumsum(sizes)[:-1]]
+        grid = project_biso(values, tol=1e-12, sizes=sizes)
+        assert grid.matrix.shape == values.shape and grid.iterations == dense.iterations
+        assert grid.matrix.tobytes() == dense.matrix[np.ix_(firsts, firsts)].tobytes()
+
+
+def test_project_rejects_bad_sizes():
+    x = np.random.default_rng(23).random((3, 3))
+    for sizes in ([1, 2], [1, 2, 3, 4], [1, 0, 2], [1, -1, 2], [1.0, 2.0, 3.0], [1, 2.5, 1]):
+        with pytest.raises(ValueError, match="sizes must be 3 positive integers"):
+            project_biso(x, sizes=np.array(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +589,46 @@ def test_bap_single_block_when_gap_covers_all_row_sums():
     assert np.array_equal(bap_estimate(s1, s2, g), np.full((n, n), 0.5))
 
 
-def test_bap_single_sample_flag_and_validation():
+def test_bap_validates_sample_sizes():
     n = 8
     g = make_topology("two_cliques", n)
     m = sample_sst_bands(n, np.random.default_rng(15))
     rng = np.random.default_rng(16)
     s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-    one = bap_estimate(s1, None, g, single_sample=True)
-    assert one.shape == (n, n)
-    assert one.tobytes() == bap_estimate(s1, s1, g).tobytes()
-    with pytest.raises(ValueError):
-        bap_estimate(s1, None, g)  # two-sample needs s2
+    small = observe(m[:6, :6], make_topology("two_cliques", 6), ident(6), "expectation")
+    for pair in ((s1, small), (small, s1)):
+        with pytest.raises(ValueError, match="sample size 6 does not match graph size 8"):
+            bap_estimate(*pair, g)
+
+
+def test_bap_matches_dense_reference_path():
+    # the dense path: block-average the n x n sample matrix, conjugate by the
+    # score ranking, project, conjugate back
+    for family in ("power_law", "clique_plus_path", "two_cliques"):
+        for n in (16, 32, 64, 128):
+            for mode in ("bernoulli", "expectation"):
+                g, s1, s2 = bap_draw(family, n, n + 1, mode)
+                pi_hat = asp_sort(empirical_scores(s1))
+                x = bap_projection_input(family, n, n + 1, mode)
+                dense = permute_matrix(project_biso(x).matrix, pi_hat)
+                out = bap_estimate(s1, s2, g)
+                if mode == "bernoulli":  # 0/1 outcomes: every block sum is exact
+                    assert out.tobytes() == dense.tobytes()
+                else:
+                    assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_bap_allocates_only_its_estimate():
+    n = 2048
+    g, s1, s2 = bap_draw("power_law", n, 5)
+    tracemalloc.start()
+    try:
+        out = bap_estimate(s1, s2, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * n * n
+    assert peak < 3 * 8 * n * n
 
 
 def test_bap_beats_trivial_guess_on_average():

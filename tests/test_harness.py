@@ -458,6 +458,26 @@ def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
     assert captured.err.count("\n") == 1
 
 
+def test_cli_parser_reused_across_calls(capsys):
+    from paircomp import cli
+
+    cli._parser.cache_clear()  # the first call below builds the tree
+    sim = ["simulate", "--graph", "power_law", "--n-list", "8,16", "--model", "sst"]
+    sim += ["--estimator", "bap", "--trials", "2", "--seed", "3"]
+    assert cli_main(sim) == 0
+    first = capsys.readouterr()
+    assert first.out.startswith(CSV_HEADER)
+    assert cli_main(["diagnose", "--graph", "star", "--n", "5"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate", "--n", "8"])  # --graph is required
+    assert exc.value.code == 2
+    assert cli_main(["simulate", "--graph", "path", "--n", "8", "--trials", "0"]) == 2
+    capsys.readouterr()
+    assert cli_main(sim) == 0
+    assert capsys.readouterr() == first
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_cli_timings_flag(capsys):
     args = ["simulate", "--graph", "path", "--n", "8", "--trials", "1", "--seed", "1"]
     assert cli_main(args) == 0
