@@ -277,12 +277,32 @@ def block_partition(values, t: float, upper: float | None = None) -> BlockPartit
     return BlockPartition(groups=groups, threshold=float(t))
 
 
-def _block_means(lab: np.ndarray, k: int, i, j, values) -> np.ndarray:
-    """k x k means of values at entries (i, j) by block (lab[i], lab[j]); 1/2 if none."""
-    key = lab[i] * k + lab[j]
+def _block_means(key: np.ndarray, values, k: int) -> np.ndarray:
+    """k x k means of values by block key a * k + b; 1/2 where a block has none."""
     counts = np.bincount(key, minlength=k * k)
     sums = np.bincount(key, weights=values, minlength=k * k)
     return np.where(counts > 0, sums / np.maximum(counts, 1), 0.5).reshape(k, k)
+
+
+def _sample_block_means(s: ObservationSample, lab: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_block_means` of s's observed pairs taken in both orders.
+
+    Pair (i, j) adds y at key a*k + b and 1 - y at key b*k + a, where
+    a = lab[i] and b = lab[j].
+    """
+    m = s.num_pairs
+    key = np.empty(2 * m, dtype=np.int64)
+    fwd, rev = key[:m], key[m:]
+    np.take(lab, s.pairs[:, 0], out=fwd)
+    np.take(lab, s.pairs[:, 1], out=rev)
+    fwd *= k
+    fwd += rev
+    rev *= k
+    rev += fwd // k
+    values = np.empty(2 * m)
+    values[:m] = s.values
+    np.subtract(1.0, s.values, out=values[m:])
+    return _block_means(key, values, k)
 
 
 def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.ndarray:
@@ -295,7 +315,8 @@ def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.
     x = np.asarray(x, dtype=np.float64)
     lab = c.labels(x.shape[0])
     i, j = np.nonzero(observed)
-    return _block_means(lab, c.num_groups, i, j, x[i, j])[lab[:, None], lab]
+    k = c.num_groups
+    return _block_means(lab[i] * k + lab[j], x[i, j], k)[lab[:, None], lab]
 
 
 def row_block_average(x: np.ndarray, c: BlockPartition) -> np.ndarray:
@@ -343,8 +364,7 @@ def bap_estimate(
     k = partition.num_groups
     lab = k - 1 - partition.labels(n)
 
-    i, j = s2.pairs[:, 0], s2.pairs[:, 1]
-    grid = _block_means(lab, k, np.r_[i, j], np.r_[j, i], np.r_[s2.values, 1.0 - s2.values])
+    grid = _sample_block_means(s2, lab, k)
     projected = project_biso(grid, tol=tol, max_iter=max_iter, sizes=np.bincount(lab, minlength=k))
     if not projected.converged:
         raise RuntimeError(

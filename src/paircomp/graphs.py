@@ -78,16 +78,7 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
     """Validate an edge list and build an immutable :class:`Graph`."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if e.size:
-        if e.min() < 0 or e.max() >= n:
-            raise ValueError("edge endpoint out of range")
-        if np.any(e[:, 0] == e[:, 1]):
-            raise ValueError("self-loops are not allowed")
-        e = sort_pairs(e, n)
-        dup = (np.diff(e[:, 0]) == 0) & (np.diff(e[:, 1]) == 0)
-        if np.any(dup):
-            raise ValueError("duplicate edges are not allowed")
+    e = _sorted_pairs(np.asarray(edges, dtype=np.int64).reshape(-1, 2), n, validate=True)
     degrees = np.bincount(e.ravel(), minlength=n).astype(np.int64)
     e.setflags(write=False)
     degrees.setflags(write=False)
@@ -95,16 +86,39 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
 
 
 def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order.
+    """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order."""
+    return _sorted_pairs(pairs, n)
 
-    The scalar key u * n + v orders rows (u, v) lexicographically, so one
-    1-D sort replaces a row sort plus a two-key lexsort.
+
+def _sorted_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
+    """:func:`sort_pairs` through one int64 key per row, min(u, v) << b | max(u, v).
+
+    b = max(1, (n - 1).bit_length()) bits hold any vertex of 0..n-1, so the
+    key orders rows lexicographically and one 1-D sort replaces a row sort
+    plus a two-key lexsort; it is skipped when the keys already increase
+    strictly.  With validate, endpoints outside 0..n-1, self-loops and
+    duplicate rows raise ValueError.
     """
-    key = np.minimum(pairs[:, 0], pairs[:, 1])
-    key *= n
-    key += np.maximum(pairs[:, 0], pairs[:, 1])
-    key.sort()
-    return np.column_stack(np.divmod(key, n))
+    b = max(1, (n - 1).bit_length())
+    key = np.minimum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
+    hi = np.maximum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
+    if validate and len(key):
+        if key.min() < 0 or hi.max() >= n:
+            raise ValueError("edge endpoint out of range")
+        if np.any(key == hi):
+            raise ValueError("self-loops are not allowed")
+    key <<= b
+    key |= hi
+    del hi  # one m-long array fewer under the unpacked copy
+    if not np.all(key[1:] > key[:-1]):
+        key.sort()
+        # strictly increasing keys have no duplicates: only a sorted key is checked
+        if validate and np.any(key[1:] == key[:-1]):
+            raise ValueError("duplicate edges are not allowed")
+    out = np.empty((len(key), 2), dtype=np.int64)
+    np.right_shift(key, b, out=out[:, 0])
+    np.bitwise_and(key, (1 << b) - 1, out=out[:, 1])
+    return out
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -116,13 +130,19 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
-def _clique_edges(vertices: np.ndarray) -> np.ndarray:
-    iu = np.triu_indices(len(vertices), k=1)
-    return np.column_stack((vertices[iu[0]], vertices[iu[1]]))
+def _interval_edges(first, last) -> np.ndarray:
+    """Edges u-v for first[u] <= v < last[u], in lexicographic order.
 
-
-def _path_edges(vertices: np.ndarray) -> np.ndarray:
-    return np.column_stack((vertices[:-1], vertices[1:]))
+    first is an array over the vertices u = 0..len(first)-1, last an array
+    or a scalar, and first[u] <= last[u].
+    """
+    count = last - first
+    start = np.cumsum(count) - count
+    e = np.empty((int(count.sum()), 2), dtype=np.int64)
+    e[:, 0] = np.repeat(np.arange(len(count)), count)
+    e[:, 1] = np.arange(len(e))
+    e[:, 1] += np.repeat(first - start, count)
+    return e
 
 
 def make_topology(
@@ -159,16 +179,14 @@ def make_topology(
         raise ValueError(f"{family} requires n >= 2, got n={n}")
 
     h = n // 2
+    u = np.arange(n)
     if family == "complete":
-        edges = _clique_edges(np.arange(n))
+        edges = _interval_edges(u + 1, n)
     elif family == "two_cliques":
-        edges = np.vstack(
-            [_clique_edges(np.arange(h)), _clique_edges(np.arange(h, n))]
-        )
+        edges = _interval_edges(u + 1, np.where(u < h, h, n))
     elif family == "clique_plus_path":
         # path hangs off the last clique vertex, h - 1
-        chain = np.concatenate(([h - 1], np.arange(h, n)))
-        edges = np.vstack([_clique_edges(np.arange(h)), _path_edges(chain)])
+        edges = _interval_edges(u + 1, np.where(u < h - 1, h, np.minimum(u + 2, n)))
     elif family == "power_law":
         # The literal staircase d_i = i is not graphical (d_n = n exceeds n-1,
         # and capping at n-1 leaves duplicate near-universal degrees that
@@ -177,27 +195,25 @@ def make_topology(
         # keeping the linear profile.  Its realization is the half graph:
         # u < v are adjacent iff u + v >= n - 1, the same edge set Havel-Hakimi
         # builds from that sequence.
-        first = np.maximum(np.arange(1, n + 1), np.arange(n - 1, -1, -1))
-        count = n - first  # u's neighbours above u are first[u]..n-1
-        u = np.repeat(np.arange(n), count)
-        offset = first - (np.cumsum(count) - count)
-        edges = np.column_stack((u, np.arange(len(u)) + offset[u]))
+        edges = _interval_edges(np.maximum(u + 1, n - 1 - u), n)
     elif family == "regular_bipartite":
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise ValueError("regular_bipartite requires alpha in (0, 1]")
         d = max(1, int(math.floor(h**alpha + 1e-9)))
         left = np.repeat(np.arange(h), d)
-        shift = np.tile(np.arange(d), h)
-        right = h + (left + shift) % h
+        right = np.tile(np.arange(d), h)
+        right += left
+        right %= h
+        right += h
         edges = np.column_stack((left, right))
     elif family == "star":
-        edges = np.column_stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n)))
+        edges = _interval_edges(u + 1, np.where(u == 0, n, u + 1))
     elif family == "path":
-        edges = _path_edges(np.arange(n))
+        edges = _interval_edges(u + 1, np.minimum(u + 2, n))
     elif family == "cycle":
         if n < 3:
             raise ValueError(f"cycle requires n >= 3, got n={n}")
-        edges = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
+        edges = np.column_stack((u, (u + 1) % n))
     else:  # erdos_renyi
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("erdos_renyi requires p in (0, 1]")

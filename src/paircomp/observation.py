@@ -97,8 +97,8 @@ def observe(
 
 def empirical_scores(s: ObservationSample) -> np.ndarray:
     """Fraction of observed comparisons won by each item."""
+    counts = np.bincount(s.pairs.ravel(), minlength=s.n)
     i, j = s.pairs[:, 0], s.pairs[:, 1]
-    counts = np.bincount(i, minlength=s.n) + np.bincount(j, minlength=s.n)
     if s.num_pairs == 0 or counts.min() == 0:
         raise ValueError(f"item {int(np.argmin(counts))} has no observed comparisons")
     wins = np.bincount(i, weights=s.values, minlength=s.n)

@@ -628,7 +628,7 @@ def test_bap_allocates_only_its_estimate():
     finally:
         tracemalloc.stop()
     assert out.nbytes == 8 * n * n
-    assert peak < 3 * 8 * n * n
+    assert peak < 2 * 8 * n * n
 
 
 def test_bap_beats_trivial_guess_on_average():

@@ -11,6 +11,7 @@ from paircomp import (
     make_topology,
     to_edge_list,
 )
+from paircomp.graphs import sort_pairs
 
 ALL_FAMILIES = [
     ("complete", 9, {}),
@@ -180,12 +181,18 @@ def test_degree_functional_rejects_isolated():
 
 
 def test_make_graph_validation():
-    with pytest.raises(ValueError):
-        make_graph(3, [(0, 0)])  # self loop
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loops"):
+        make_graph(3, [(0, 0)])
+    with pytest.raises(ValueError, match="duplicate"):
         make_graph(3, [(0, 1), (1, 0)])  # duplicate after normalization
-    with pytest.raises(ValueError):
-        make_graph(3, [(0, 3)])  # out of range
+    with pytest.raises(ValueError, match="duplicate"):
+        make_graph(4, [(2, 3), (0, 1), (3, 2), (1, 2)])  # unsorted input
+    with pytest.raises(ValueError, match="duplicate"):
+        make_graph(4, [(0, 1), (1, 2), (1, 2), (2, 3)])  # sorted, equal adjacent rows
+    with pytest.raises(ValueError, match="out of range"):
+        make_graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        make_graph(3, [(-1, 2)])
     # any orientation and order in, rows (u, v) with u < v in lexicographic order out
     rng = np.random.default_rng(4)
     iu = np.triu_indices(9, k=1)
@@ -210,3 +217,65 @@ def test_edges_are_immutable():
     g = make_topology("path", 5)
     with pytest.raises(ValueError):
         g.edges[0, 0] = 3
+
+
+def lexsort_reference(pairs):
+    rows = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_sort_pairs_matches_lexsort(dtype):
+    rng = np.random.default_rng(8)
+    big = 2**31 - 1  # n = 2**31: 31-bit shift, keys up to 2**62
+    iu = np.column_stack(np.triu_indices(40, k=1))
+    cases = [
+        (1, np.zeros((0, 2))),
+        (2, [(1, 0)]),
+        (2, [(0, 1), (1, 0), (0, 1)]),
+        (3, [(2, 1), (1, 0), (2, 0)]),
+        (50, rng.integers(0, 50, size=(300, 2))),
+        (2**31, [(big, big - 1), (0, big), (big - 2, 5), (big - 1, big)]),
+        (40, iu),  # already sorted
+        (40, iu[:, ::-1]),  # sorted, reversed orientation
+        (40, iu[rng.permutation(len(iu))]),  # shuffled
+        (40, iu[::-1]),  # reversed order
+    ]
+    for n, pairs in cases:
+        pairs = np.asarray(pairs).astype(dtype).reshape(-1, 2)
+        out = sort_pairs(pairs, n)
+        assert out.dtype == np.int64 and out.shape == pairs.shape
+        assert np.array_equal(out, lexsort_reference(pairs)), n
+
+
+# u ~ v in each family built from vertex intervals
+INTERVAL_FAMILIES = {
+    "complete": lambda u, v, n: True,
+    "two_cliques": lambda u, v, n: (u < n // 2) == (v < n // 2),
+    "clique_plus_path": lambda u, v, n: max(u, v) < n // 2
+    or (abs(u - v) == 1 and max(u, v) >= n // 2),
+    "power_law": lambda u, v, n: u + v >= n - 1,
+    "star": lambda u, v, n: min(u, v) == 0,
+    "path": lambda u, v, n: abs(u - v) == 1,
+}
+
+
+@pytest.mark.parametrize("family", sorted(INTERVAL_FAMILIES))
+def test_interval_families_match_adjacency_rule(family):
+    rule = INTERVAL_FAMILIES[family]
+    even = family in ("two_cliques", "clique_plus_path")
+    for n in range(0, 41):
+        if n < 2 or (even and (n < 4 or n % 2)):
+            msg = f"{family} requires an even n >= 4" if even else f"{family} requires n >= 2"
+            with pytest.raises(ValueError, match=msg):
+                make_topology(family, n)
+            continue
+        ref = [(u, v) for u in range(n) for v in range(u + 1, n) if rule(u, v, n)]
+        deg = np.zeros(n, dtype=np.int64)
+        for u, v in ref:
+            deg[u] += 1
+            deg[v] += 1
+        g = make_topology(family, n)
+        assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+        assert g.edges.tolist() == [list(e) for e in ref], n
+        assert np.array_equal(g.degrees, deg), n
