@@ -5,8 +5,10 @@ max(alpha(alpha - 1), beta(G^c)) / (4 n^2), where alpha is the independence
 number and beta(G^c) the largest biclique of the complement.  Both are
 given in closed form at every n for the star, path, cycle, complete and
 two_cliques families (by the graph's family tag).  Any other graph goes to
-the exact searches (branch and bound / pruned subset search), which hold to
-n <= 32 for alpha and n <= 20 for beta and raise SearchBudgetError past that.
+the exact searches, which hold to n <= 32 for alpha and n <= 20 for beta and
+raise SearchBudgetError past that: a recursive branch and bound over Python
+bitmasks for alpha, and for beta a branch and bound that goes level by level,
+one vertex per level, over numpy arrays of bitmasks.
 The module also constructs the adversarial matrix pairs that certify the
 bound: two noisy-sorting matrices that agree on every observed edge yet
 differ by a known Frobenius separation.
@@ -84,34 +86,52 @@ def max_biclique_complement(g: Graph, budget: int = BICLIQUE_BUDGET) -> tuple[in
     """Exact max |V1||V2| over disjoint sets with no graph edges across.
 
     Equivalently the biclique number of the complement graph.  For a fixed
-    V1 the best V2 is every vertex outside V1 with no edge into V1, so the
-    search enumerates V1 with a product upper bound for pruning.
+    V1 the best V2 is every vertex outside V1 with no edge into V1 (its
+    "avail" set).  The search decides vertex v for every node of level v at
+    once: a level is a numpy frontier of (V1, avail) bitmasks in include-first
+    depth-first order.  Nodes whose bound (|V1| + n - v) * |avail| is below
+    the best score so far are pruned, every survivor branches into its
+    include and exclude child, and the include children are scored.  Ties
+    are kept, so the witness is the first pair scoring beta in depth-first
+    preorder.
     """
+    budget = min(budget, 64)  # the frontier holds 64-bit masks
     if g.n > budget:
         raise SearchBudgetError(
             f"exact biclique search budget is n <= {budget}, got n={g.n}"
         )
+    n = g.n
     nbr = _neighbor_masks(g)
-    full = (1 << g.n) - 1
-    best = 0
-    best_parts = (0, 0)
-
-    def expand(v: int, part1: int, size1: int, avail: int) -> None:
-        nonlocal best, best_parts
-        if size1 > 0:
-            score = size1 * avail.bit_count()
-            if score > best:
-                best, best_parts = score, (part1, avail)
-        remaining = g.n - v
-        if v >= g.n or (size1 + remaining) * avail.bit_count() <= best:
-            return
-        bit = 1 << v
-        expand(v + 1, part1 | bit, size1 + 1, avail & ~bit & ~nbr[v])
-        expand(v + 1, part1, size1, avail)
-
-    expand(0, 0, 0, full)
-    v1 = tuple(v for v in range(g.n) if best_parts[0] >> v & 1)
-    v2 = tuple(v for v in range(g.n) if best_parts[1] >> v & 1)
+    dtype = np.uint32 if n <= 32 else np.uint64
+    full = (1 << n) - 1
+    part1 = np.zeros(1, dtype)
+    avail = np.full(1, full, dtype)
+    best, best_parts = 0, (0, 0)
+    for v in range(n):
+        size1 = np.bitwise_count(part1).astype(np.int64)
+        keep = (size1 + (n - v)) * np.bitwise_count(avail) >= max(best, 1)
+        part1, avail, size1 = part1[keep], avail[keep], size1[keep]
+        if part1.size == 0:
+            break
+        with_v = part1 | dtype(1 << v)
+        avail_v = avail & dtype(full & ~(1 << v | nbr[v]))
+        score = (size1 + 1) * np.bitwise_count(avail_v)
+        top = int(score.max())
+        if top >= max(best, 1):
+            i = int(np.argmax(score == top))  # first of this level in preorder
+            hit = (int(with_v[i]), int(avail_v[i]))
+            # an earlier level's hit comes first unless, at the lowest vertex
+            # where the two V1 differ, the new hit includes it and the old
+            # one still has a vertex above it (else the old one is its prefix)
+            diff = hit[0] ^ best_parts[0]
+            low = diff & -diff
+            if top > best or (hit[0] & low and best_parts[0] >> low.bit_length()):
+                best, best_parts = top, hit
+        # children in preorder: each include child right before its sibling
+        part1 = np.stack([with_v, part1], axis=1).ravel()
+        avail = np.stack([avail_v, avail], axis=1).ravel()
+    v1 = tuple(v for v in range(n) if best_parts[0] >> v & 1)
+    v2 = tuple(v for v in range(n) if best_parts[1] >> v & 1)
     return best, (v1, v2)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from paircomp import (
+    GRAPH_FAMILIES,
     SearchBudgetError,
     adjacency_matrix,
     adversarial_pair,
@@ -81,6 +82,110 @@ def test_beta_matches_bruteforce(g):
     assert not any(a[u, v] for u in v1 for v in v2)
 
 
+def biclique_dfs_reference(g, budget=diagnostics.BICLIQUE_BUDGET):
+    """Oracle: recursive include-first DFS; its witness is the first optimum in preorder."""
+    if g.n > budget:
+        raise SearchBudgetError(
+            f"exact biclique search budget is n <= {budget}, got n={g.n}"
+        )
+    nbr = diagnostics._neighbor_masks(g)
+    full = (1 << g.n) - 1
+    best = 0
+    best_parts = (0, 0)
+
+    def expand(v: int, part1: int, size1: int, avail: int) -> None:
+        nonlocal best, best_parts
+        if size1 > 0:
+            score = size1 * avail.bit_count()
+            if score > best:
+                best, best_parts = score, (part1, avail)
+        remaining = g.n - v
+        if v >= g.n or (size1 + remaining) * avail.bit_count() <= best:
+            return
+        bit = 1 << v
+        expand(v + 1, part1 | bit, size1 + 1, avail & ~bit & ~nbr[v])
+        expand(v + 1, part1, size1, avail)
+
+    expand(0, 0, 0, full)
+    v1 = tuple(v for v in range(g.n) if best_parts[0] >> v & 1)
+    v2 = tuple(v for v in range(g.n) if best_parts[1] >> v & 1)
+    return best, (v1, v2)
+
+
+def _tagged_graphs():
+    for family in GRAPH_FAMILIES:
+        if family == "erdos_renyi":
+            continue
+        for alpha in (0.3, 0.5) if family == "regular_bipartite" else (None,):
+            for n in range(2, diagnostics.BICLIQUE_BUDGET + 1):
+                try:
+                    yield make_topology(family, n, alpha=alpha)
+                except ValueError:  # n outside the family's domain
+                    continue
+
+
+def _random_graphs():
+    yield make_graph(1, [])
+    for n in range(2, diagnostics.BICLIQUE_BUDGET + 1):
+        for p in (0.1, 0.3, 0.5, 0.8):
+            for seed in range(3):
+                yield make_topology("erdos_renyi", n, p=p, rng=np.random.default_rng(seed))
+
+
+def _edgeless_and_complete_graphs():
+    for n in range(1, 13):  # edgeless: every split ties, the search is widest
+        yield make_graph(n, [])
+    for n in range(2, diagnostics.BICLIQUE_BUDGET + 1):
+        yield make_topology("complete", n)
+
+
+@pytest.mark.parametrize(
+    "graphs", [_tagged_graphs, _random_graphs, _edgeless_and_complete_graphs],
+    ids=["tagged", "erdos_renyi", "edgeless-complete"],
+)
+def test_beta_search_matches_dfs_reference(graphs):
+    checked = 0
+    for g in graphs():
+        expected = biclique_dfs_reference(g)
+        assert max_biclique_complement(g) == expected, (g.family, g.n, g.edges.tolist())
+        checked += 1
+    assert checked >= 19
+
+
+def _biclique_score(g, v1):
+    a = adjacency_matrix(g)
+    return len(v1) * sum(v not in v1 and not a[v, list(v1)].any() for v in range(g.n))
+
+
+# graphs where several V1 reach beta; the witness is the first in
+# include-first depth-first preorder, and `other` is a tie that is not
+TIE_CASES = {
+    # {1} is found a level earlier and has the smaller mask, but {0, 2}
+    # includes vertex 0 and so comes first
+    "disjoint-optima-n3": (make_graph(3, [(0, 2)]), (2, ((0, 2), (1,))), (1,)),
+    "disjoint-optima-n6": (make_graph(6, [(0, 5)]), (9, ((0, 1, 5), (2, 3, 4))), (1, 2, 3)),
+    # {0, 1, 3} has the smaller mask; {0, 1, 2, 5} includes vertex 2 first
+    "include-before-smaller-mask-n7": (
+        make_graph(7, [(2, 5)]), (12, ((0, 1, 2, 5), (3, 4, 6))), (0, 1, 3)
+    ),
+    # the ancestor V1 ties with its descendant and comes first
+    "ancestor-tie-edgeless-n3": (make_graph(3, []), (2, ((0,), (1, 2))), (0, 1)),
+    "ancestor-tie-n7": (
+        make_graph(7, [(0, 1), (2, 3), (2, 4), (3, 4)]),
+        (12, ((0, 1, 5), (2, 3, 4, 6))),
+        (0, 1, 5, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("g,expected,other", TIE_CASES.values(), ids=TIE_CASES.keys())
+def test_beta_witness_is_first_tie_in_dfs_order(g, expected, other):
+    beta, (v1, _) = expected
+    assert _biclique_score(g, v1) == _biclique_score(g, other) == beta
+    assert biclique_dfs_reference(g) == expected
+    assert max_biclique_complement(g) == expected
+
+
 def test_examples():
     size, witness = max_independent_set(make_topology("star", 5))
     assert size == 4 and set(witness) == {1, 2, 3, 4}
@@ -97,6 +202,9 @@ def test_budget_errors():
         max_independent_set(make_graph(33, [(0, 1)]))
     with pytest.raises(SearchBudgetError):
         max_biclique_complement(make_graph(21, [(0, 1)]))
+    assert max_biclique_complement(make_topology("complete", 64), budget=100) == (0, ((), ()))
+    with pytest.raises(SearchBudgetError, match="budget is n <= 64, got n=65"):
+        max_biclique_complement(make_topology("complete", 65), budget=100)
 
 
 CLOSED_FORMS = [
