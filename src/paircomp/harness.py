@@ -47,6 +47,7 @@ __all__ = [
     "fit_slope",
     "records_to_csv",
     "records_from_csv",
+    "mean_errors",
     "summarize",
     "parse_config",
     "CSV_HEADER",

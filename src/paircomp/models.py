@@ -8,7 +8,8 @@ j iff ``ranks[i] < ranks[j]``.
 
 A comparison matrix M is an (n, n) float array with M[i, i] = 1/2 and the
 skew constraint M + M^T = ee^T; M[i, j] is the probability that item i
-beats item j.
+beats item j.  :func:`sample_sst_bands` draws an SST model from band 0, the
+diagonal, outward.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ SKEW_TOL = 1e-12
 
 
 def check_permutation(ranks) -> np.ndarray:
-    p = np.asarray(ranks, dtype=np.int64)
+    p = np.asarray(ranks)
+    if p.dtype.kind == "f" and not np.all(np.isfinite(p) & (p == np.floor(p))):
+        raise ValueError("ranks must be integers")
+    p = p.astype(np.int64, copy=False)
     if p.ndim != 1:
         raise ValueError("permutation must be one-dimensional")
     n = len(p)
@@ -165,27 +169,22 @@ def make_noisy_sorting(ranks, lam: float) -> np.ndarray:
 def sample_sst_bands(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random bivariate isotonic matrix built band by band.
 
-    The first superdiagonal is i.i.d. uniform on [1/2, 1]; each higher
-    band k is drawn per entry uniformly from [max(left, below), 1], where
-    left is entry (i, i+k-1) and below is entry (i+1, i+k).  Bands are
-    filled for k = 1..n-1 with increasing row index inside a band; the
-    lower triangle is the skew reflection.
+    Band 0 is the diagonal of 1/2s; each band k = 1..n-1 is drawn per entry
+    uniformly from [max(left, below), 1], where left is entry (i, i+k-1)
+    and below is entry (i+1, i+k), with increasing row index inside a band.
+    Each band also fills its skew reflection below the diagonal.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     m = np.full((n, n), 0.5)
-    band = 0.5 + 0.5 * rng.random(n - 1)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = band
-    prev = band
-    for k in range(2, n):
-        lo = np.maximum(prev[:-1], prev[1:])
-        cur = lo + (1.0 - lo) * rng.random(n - k)
-        i = np.arange(n - k)
-        m[i, i + k] = cur
-        prev = cur
-    iu = np.triu_indices(n, k=1)
-    m[(iu[1], iu[0])] = 1.0 - m[iu]
+    flat = m.reshape(-1)
+    band = m.diagonal()
+    for k in range(1, n):
+        lo = np.maximum(band[:-1], band[1:])
+        band = lo + (1.0 - lo) * rng.random(n - k)
+        # entry (i, i+k) sits at k + i(n+1), entry (i+k, i) at kn + i(n+1)
+        flat[k : (n - k) * n : n + 1] = band
+        flat[k * n :: n + 1] = 1.0 - band
     return m
 
 

@@ -138,25 +138,29 @@ def sample_from_text(text: str) -> ObservationSample:
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty sample text")
-    n, k = (int(tok) for tok in lines[0][1].split())
-    if len(lines) != k + 2:
-        raise ValueError(f"header promises {k} pairs, found {len(lines) - 2}")
-    pairs = np.empty((k, 2), dtype=np.int64)
-    values = np.empty(k, dtype=np.float64)
-    for r, (no, ln) in enumerate(lines[1 : k + 1]):
-        i, j, v = ln.split()
-        pairs[r] = (int(i), int(j))
-        values[r] = float(v)
-        if not 0 <= pairs[r, 0] < pairs[r, 1] < n:
-            raise ValueError(f"line {no}: pair ({i}, {j}) needs 0 <= i < j < {n}")
-        if r > 0 and tuple(pairs[r]) <= tuple(pairs[r - 1]):
-            raise ValueError(f"line {no}: pairs must be strictly increasing")
-        if not 0.0 <= values[r] <= 1.0:
-            raise ValueError(f"line {no}: value {v} outside [0, 1]")
-    no, ln = lines[-1]
-    sigma = np.array([int(tok) for tok in ln.split(",")], dtype=np.int64)
-    if len(sigma) != n or not np.array_equal(np.sort(sigma), np.arange(n)):
-        raise ValueError(f"line {no}: assignment must be a permutation of 0..{n - 1}")
+    no, ln = lines[0]
+    try:
+        n, k = (int(tok) for tok in ln.split())
+        if not 0 <= k == len(lines) - 2:
+            raise ValueError(f"header promises {k} pairs, found {len(lines) - 2}")
+        pairs = np.empty((k, 2), dtype=np.int64)
+        values = np.empty(k, dtype=np.float64)
+        for r, (no, ln) in enumerate(lines[1 : k + 1]):
+            i, j, v = ln.split()
+            pairs[r] = (int(i), int(j))
+            values[r] = float(v)
+            if not 0 <= pairs[r, 0] < pairs[r, 1] < n:
+                raise ValueError(f"pair ({i}, {j}) needs 0 <= i < j < {n}")
+            if r > 0 and tuple(pairs[r]) <= tuple(pairs[r - 1]):
+                raise ValueError("pairs must be strictly increasing")
+            if not 0.0 <= values[r] <= 1.0:
+                raise ValueError(f"value {v} outside [0, 1]")
+        no, ln = lines[-1]
+        sigma = np.array([int(tok) for tok in ln.split(",")], dtype=np.int64)
+        if len(sigma) != n or not np.array_equal(np.sort(sigma), np.arange(n)):
+            raise ValueError(f"assignment must be a permutation of 0..{n - 1}")
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"line {no}: {e}") from None
     pairs.setflags(write=False)
     values.setflags(write=False)
     return ObservationSample(n=n, pairs=pairs, values=values, assignment=sigma)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ def test_check_permutation_rejects_non_bijections():
         check_permutation([0, 0, 2])
     with pytest.raises(ValueError):
         check_permutation([1, 2, 3])
+
+
+def test_check_permutation_rejects_non_integral_ranks():
+    for bad in ([1.9, 0.2], [0.5, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            check_permutation(bad)
+    with pytest.raises(ValueError, match="ranks must be integers"):
+        kt_distance([1.9, 0.2], [0, 1])
+    ranks = check_permutation(np.array([2.0, 0.0, 1.0]))
+    assert ranks.dtype == np.int64 and ranks.tolist() == [2, 0, 1]
+    assert kt_distance([1.0, 0.0], [0, 1]) == 1
 
 
 def test_inverse_permutation():
@@ -219,6 +231,47 @@ def test_permute_matrix_convention():
 # ---------------------------------------------------------------------------
 # SST band sampling
 # ---------------------------------------------------------------------------
+
+
+def sst_bands_reference(n, rng):
+    """The band sampler as first written: a special first band, per-band
+    index arrays and a closing triu reflection."""
+    m = np.full((n, n), 0.5)
+    band = 0.5 + 0.5 * rng.random(n - 1)
+    idx = np.arange(n - 1)
+    m[idx, idx + 1] = band
+    prev = band
+    for k in range(2, n):
+        lo = np.maximum(prev[:-1], prev[1:])
+        cur = lo + (1.0 - lo) * rng.random(n - k)
+        i = np.arange(n - k)
+        m[i, i + k] = cur
+        prev = cur
+    iu = np.triu_indices(n, k=1)
+    m[(iu[1], iu[0])] = 1.0 - m[iu]
+    return m
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 257, 1000])
+def test_sst_bands_match_reference_and_generator_position(n):
+    # the harness draws sigma straight after M*, so the generator's position
+    # after the draw is part of the contract, not only the matrix bytes
+    for seed in (0, 1, 2):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert sample_sst_bands(n, rng).tobytes() == sst_bands_reference(n, ref_rng).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sst_bands_peak_memory_is_one_matrix():
+    n = 1024
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        sample_sst_bands(n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * n * n
 
 
 def test_sst_bands_are_biso():

@@ -191,3 +191,25 @@ def test_sample_text_round_trip():
 def test_sample_from_text_rejects_malformed_input(text, message):
     with pytest.raises(ValueError, match=message):
         sample_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5\n", "line 1: not enough values"),
+        ("\n3 x\n0 1 0.5\n0,1,2\n", "line 2: invalid literal"),
+        ("3 -1\n", "line 1: header promises -1 pairs"),
+        ("3 1\n0 1 0.5\n0,1,2\n0,1,2\n", "line 1: header promises 1 pairs, found 2"),
+        ("3 1\n0 1\n0,1,2\n", "line 2: not enough values"),
+        ("3 1\n0 1 0.5 0.5\n0,1,2\n", "line 2: too many values"),
+        ("3 1\n0 x 0.5\n0,1,2\n", "line 2: invalid literal"),
+        ("3 1\n0 1.0 0.5\n0,1,2\n", "line 2: invalid literal"),
+        ("3 1\n0 99999999999999999999 0.5\n0,1,2\n", "line 2: "),
+        ("3 1\n0 1 half\n0,1,2\n", "line 2: could not convert"),
+        ("3 1\n0 1 0.5\n\n0,a,2\n", "line 4: invalid literal"),
+        ("3 1\n0 1 0.5\n0,1,\n", "line 3: invalid literal"),
+    ],
+)
+def test_sample_from_text_names_the_line_of_every_parse_error(text, message):
+    with pytest.raises(ValueError, match=message):
+        sample_from_text(text)
