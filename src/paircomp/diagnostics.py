@@ -257,32 +257,32 @@ def minimax_lower_bound(g: Graph) -> DiagnosticsReport:
     )
 
 
-def report_to_text(r: DiagnosticsReport) -> str:
+def _report_fields(r: DiagnosticsReport) -> dict:
     # adversarial_lambda records the noise gap used by certificate pairs;
     # their separation is 8 lambda^2 KT, so any other convention rescales
-    lines = [
-        f"alpha = {r.alpha}",
-        f"beta_complement = {r.beta_complement}",
-        f"minimax_lb = {format(r.minimax_lb, '.17g')}",
-        f"degree_functional = {format(r.degree_functional, '.17g')}",
-        f"adversarial_lambda = {format(ADVERSARIAL_LAMBDA, '.17g')}",
-        f"independent_set = {' '.join(map(str, r.independent_set))}",
-        f"biclique_v1 = {' '.join(map(str, r.biclique[0]))}",
-        f"biclique_v2 = {' '.join(map(str, r.biclique[1]))}",
-    ]
-    return "\n".join(lines) + "\n"
+    return {
+        "alpha": r.alpha,
+        "beta_complement": r.beta_complement,
+        "minimax_lb": r.minimax_lb,
+        "degree_functional": r.degree_functional,
+        "adversarial_lambda": ADVERSARIAL_LAMBDA,
+        "independent_set": list(r.independent_set),
+        "biclique": [list(r.biclique[0]), list(r.biclique[1])],
+    }
+
+
+def _text_value(value) -> str:
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def report_to_text(r: DiagnosticsReport) -> str:
+    """One 'name = value' line per report field, the biclique as its two sides."""
+    fields = _report_fields(r)
+    fields["biclique_v1"], fields["biclique_v2"] = fields.pop("biclique")
+    return "".join(f"{name} = {_text_value(value)}\n" for name, value in fields.items())
 
 
 def report_to_json(r: DiagnosticsReport) -> str:
-    return json.dumps(
-        {
-            "alpha": r.alpha,
-            "beta_complement": r.beta_complement,
-            "minimax_lb": r.minimax_lb,
-            "degree_functional": r.degree_functional,
-            "adversarial_lambda": ADVERSARIAL_LAMBDA,
-            "independent_set": list(r.independent_set),
-            "biclique": [list(r.biclique[0]), list(r.biclique[1])],
-        },
-        indent=2,
-    )
+    return json.dumps(_report_fields(r), indent=2)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression as _scipy_isotonic
 
 from .graphs import Graph
-from .models import check_permutation, make_noisy_sorting
+from .models import check_permutation, inverse_permutation, make_noisy_sorting
 from .observation import ObservationSample, empirical_scores
 
 __all__ = [
@@ -58,10 +58,7 @@ def asp_sort(tau_hat) -> np.ndarray:
     tau = np.asarray(tau_hat, dtype=np.float64)
     if not np.all(np.isfinite(tau)):
         raise ValueError("scores must be finite")
-    order = np.lexsort((np.arange(len(tau)), -tau))
-    ranks = np.empty(len(tau), dtype=np.int64)
-    ranks[order] = np.arange(len(tau), dtype=np.int64)
-    return ranks
+    return inverse_permutation(np.argsort(-tau, kind="stable"))
 
 
 def inversion_set(s: ObservationSample, pi) -> np.ndarray:
@@ -223,26 +220,25 @@ def project_biso(
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Ordered partition of item indices by value intervals.
+    """Ordered partition of items 0..n-1 by value intervals.
 
-    groups are disjoint index arrays covering 0..n-1, ordered by their
-    defining interval; threshold is the interval-generating gap t.
+    labels is a read-only int64 vector: labels[i] is the group of item i,
+    groups numbered 0..k-1 in the order of their defining intervals, every
+    group nonempty.  threshold is the interval-generating gap t.
     """
 
-    groups: tuple[np.ndarray, ...]
+    labels: np.ndarray
     threshold: float
 
     @property
     def num_groups(self) -> int:
-        return len(self.groups)
+        return int(self.labels.max()) + 1
 
-    def labels(self, n: int) -> np.ndarray:
-        lab = np.full(n, -1, dtype=np.int64)
-        for k, grp in enumerate(self.groups):
-            lab[grp] = k
-        if np.any(lab < 0):
-            raise ValueError("partition does not cover 0..n-1")
-        return lab
+    @property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """Ascending index arrays of groups 0..k-1."""
+        order = np.argsort(self.labels, kind="stable")
+        return tuple(np.split(order, np.cumsum(np.bincount(self.labels))[:-1]))
 
 
 def block_partition(values, t: float, upper: float | None = None) -> BlockPartition:
@@ -262,19 +258,13 @@ def block_partition(values, t: float, upper: float | None = None) -> BlockPartit
     if t <= 0:
         raise ValueError("threshold must be positive")
     top = float(upper) if upper is not None else float(v.max())
-    if top <= 0:
-        return BlockPartition(groups=(np.arange(len(v), dtype=np.int64),), threshold=float(t))
-    bounds = [0.0]
-    k = 1
-    while bounds[-1] < top:
-        bounds.append(float(np.floor(k * t)))
-        k += 1
-    lows = np.unique(bounds[:-1])  # all below top, so top values land in the last interval
-    idx = np.searchsorted(lows, v, side="right") - 1
-    groups = tuple(
-        np.flatnonzero(idx == g) for g in range(len(lows)) if np.any(idx == g)
-    )
-    return BlockPartition(groups=groups, threshold=float(t))
+    # interval lows floor(k t), k = 0, 1, ...: those below top need k t < ceil(top),
+    # and keeping only them (at least [0.]) puts values equal to top in the last
+    lows = np.floor(np.arange(int(np.ceil(top) / t) + 2) * t)
+    lows = lows[: max(1, np.searchsorted(lows, top))]
+    labels = np.unique(np.searchsorted(lows, v, side="right"), return_inverse=True)[1]
+    labels.flags.writeable = False
+    return BlockPartition(labels=labels, threshold=float(t))
 
 
 def _block_means(key: np.ndarray, values, k: int) -> np.ndarray:
@@ -313,7 +303,9 @@ def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.
     observed pair present in both orders with x_ji = 1 - x_ij).
     """
     x = np.asarray(x, dtype=np.float64)
-    lab = c.labels(x.shape[0])
+    lab = c.labels
+    if len(lab) != len(x):
+        raise ValueError(f"partition of {len(lab)} items does not match a matrix of size {len(x)}")
     i, j = np.nonzero(observed)
     k = c.num_groups
     return _block_means(lab[i] * k + lab[j], x[i, j], k)[lab[:, None], lab]
@@ -344,12 +336,12 @@ def bap_estimate(
 
     Blocks come from the first sample: its rescaled row sums
     (n/D_i) sum_j Y_ij equal n times the empirical scores, which are
-    partitioned (clamped to [0, n]) with gap t = sum_v 1/sqrt(d_v).  The
-    groups are score intervals, so numbered from the highest they follow the
-    score ranking, and the k x k block means of the second sample (the first
-    again for single-sample BAP) go to :func:`project_biso` with the group
-    sizes.  Raises RuntimeError when the projection stops at max_iter
-    without converging.
+    partitioned (clamped to [0, n]) with gap t = sum_v 1/sqrt(d_v) into one
+    label per item.  The groups are score intervals, so the labels counted
+    from the highest group follow the score ranking; the k x k block means
+    of the second sample (the first again for single-sample BAP) over those
+    labels go to :func:`project_biso` with the group sizes.  Raises
+    RuntimeError when the projection stops at max_iter without converging.
     """
     if g.degrees.min() == 0:
         raise ValueError("comparison graph must have no isolated vertices")
@@ -362,7 +354,7 @@ def bap_estimate(
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
     partition = block_partition(np.clip(n * tau_hat, 0.0, n), t, upper=n)
     k = partition.num_groups
-    lab = k - 1 - partition.labels(n)
+    lab = k - 1 - partition.labels
 
     grid = _sample_block_means(s2, lab, k)
     projected = project_biso(grid, tol=tol, max_iter=max_iter, sizes=np.bincount(lab, minlength=k))

@@ -78,21 +78,17 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
     """Validate an edge list and build an immutable :class:`Graph`."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    e = _sorted_pairs(np.asarray(edges, dtype=np.int64).reshape(-1, 2), n, validate=True)
+    e = sort_pairs(np.asarray(edges, dtype=np.int64).reshape(-1, 2), n, validate=True)
     degrees = np.bincount(e.ravel(), minlength=n).astype(np.int64)
     e.setflags(write=False)
     degrees.setflags(write=False)
     return Graph(n=n, edges=e, degrees=degrees, family=family)
 
 
-def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order."""
-    return _sorted_pairs(pairs, n)
+def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
+    """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order.
 
-
-def _sorted_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
-    """:func:`sort_pairs` through one int64 key per row, min(u, v) << b | max(u, v).
-
+    Each row becomes one int64 key, min(u, v) << b | max(u, v), where
     b = max(1, (n - 1).bit_length()) bits hold any vertex of 0..n-1, so the
     key orders rows lexicographically and one 1-D sort replaces a row sort
     plus a two-key lexsort; it is skipped when the keys already increase
@@ -124,9 +120,8 @@ def _sorted_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarr
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense boolean adjacency matrix (built on demand)."""
     a = np.zeros((g.n, g.n), dtype=bool)
-    if g.num_edges:
-        a[g.edges[:, 0], g.edges[:, 1]] = True
-        a[g.edges[:, 1], g.edges[:, 0]] = True
+    a[g.edges[:, 0], g.edges[:, 1]] = True
+    a[g.edges[:, 1], g.edges[:, 0]] = True
     return a
 
 
@@ -282,14 +277,21 @@ def to_edge_list(g: Graph) -> str:
 
 
 def from_edge_list(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse :func:`to_edge_list` output; a malformed line raises ValueError naming it."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list text")
-    n, m = (int(tok) for tok in lines[0].split())
-    if len(lines) - 1 != m:
-        raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = [tuple(int(tok) for tok in ln.split()) for ln in lines[1:]]
-    for u, v in edges:
-        if not u < v:
-            raise ValueError(f"edge ({u}, {v}) violates u < v")
+    no, ln = lines[0]
+    try:
+        n, m = (int(tok) for tok in ln.split())
+        if len(lines) - 1 != m:
+            raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
+        edges = []
+        for no, ln in lines[1:]:
+            u, v = (int(tok) for tok in ln.split())
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
+            edges.append((u, v))
+    except ValueError as e:
+        raise ValueError(f"line {no}: {e}") from None
     return make_graph(n, edges)

@@ -321,17 +321,10 @@ def records_from_csv(text: str) -> list[TrialRecord]:
 
 def summarize(records) -> str:
     """Mean error per n plus a failure footer."""
-    lines = []
-    means = mean_errors(records)
-    for n, err in means.items():
-        lines.append(f"n={n}: mean frob_err={err:.6g}")
+    lines = [f"n={n}: mean frob_err={err:.6g}" for n, err in mean_errors(records).items()]
     failures = [r for r in records if r.error is not None]
-    if failures:
-        lines.append(f"failed trials: {len(failures)}")
-        for r in failures:
-            lines.append(f"  n={r.n} trial={r.trial_index}: {r.error}")
-    else:
-        lines.append("failed trials: 0")
+    lines.append(f"failed trials: {len(failures)}")
+    lines.extend(f"  n={r.n} trial={r.trial_index}: {r.error}" for r in failures)
     return "\n".join(lines) + "\n"
 
 

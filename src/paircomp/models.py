@@ -85,6 +85,30 @@ def permute_matrix(m: np.ndarray, ranks) -> np.ndarray:
     return m[np.ix_(p, p)]
 
 
+def _merge_levels(a: np.ndarray):
+    """Bottom-up merge levels of a permutation a.
+
+    Each level yields its right blocks' values and, for each, how many values
+    of the paired left block exceed it; summed over all levels, these counts
+    are each value's larger predecessors in a.
+    """
+    n = len(a)
+    pos = np.arange(n)
+    width = 1
+    # aligned blocks of `width` are each sorted.  With key = b * n + value for
+    # block pair b, the left blocks' keys form one sorted array; a right key
+    # b * n + v is inverted with the (b + 1) * width left keys of pairs <= b
+    # minus those at or below it.  Sorting the keys merges every pair at once.
+    while width < n:
+        block = pos // (2 * width)
+        key = block * n + a
+        right = (pos // width) % 2 == 1
+        above = (block[right] + 1) * width - np.searchsorted(key[~right], key[right], side="right")
+        yield a[right], above
+        a = np.sort(key) - block * n
+        width *= 2
+
+
 def kt_distance(p, q) -> int:
     """Number of discordant item pairs between two rankings."""
     p = check_permutation(p)
@@ -93,34 +117,20 @@ def kt_distance(p, q) -> int:
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
     # q-ranks listed in p-rank order; inversions of that sequence are
     # exactly the pairs ordered one way by p and the other way by q
-    a = q[np.argsort(p)]
-    n = len(a)
-    pos = np.arange(n)
-    count = 0
-    width = 1
-    # bottom-up merge count over aligned blocks of `width`, each sorted.  With
-    # key = b * n + value for block pair b, the left blocks' keys form one
-    # sorted array; a right key b * n + v is inverted with the (b + 1) * width
-    # left keys of pairs <= b minus those at or below it.  Sorting the keys
-    # merges every pair at once.
-    while width < n:
-        block = pos // (2 * width)
-        key = block * n + a
-        right = (pos // width) % 2 == 1
-        above = (block[right] + 1) * width - np.searchsorted(key[~right], key[right], side="right")
-        count += int(above.sum())
-        a = np.sort(key) - block * n
-        width *= 2
-    return count
+    return sum(int(above.sum()) for _, above in _merge_levels(q[np.argsort(p)]))
 
 
 def inversion_table(p) -> np.ndarray:
     """b[i] = number of items j > i ranked better than item i."""
     p = check_permutation(p)
     n = len(p)
-    later_is_smaller = p[:, None] > p[None, :]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return (later_is_smaller & upper).sum(axis=1).astype(np.int64)
+    # item i sits at position n - 1 - i of s with value n - 1 - p[i], so its
+    # later, better-ranked items are the larger predecessors of that value
+    s = n - 1 - p[::-1]
+    cnt = np.zeros(n, dtype=np.int64)
+    for values, above in _merge_levels(s):
+        cnt[values] += above
+    return cnt[n - 1 - p]
 
 
 def table_to_permutation(b) -> np.ndarray:

@@ -503,6 +503,62 @@ def test_block_partition_invariants_random():
             assert v[grp].max() - v[grp].min() < t + 1  # interval width bound
 
 
+def block_partition_oracle(values, t, upper=None):
+    """The interval loop block_partition replaced: groups as index arrays."""
+    v = np.asarray(values, dtype=np.float64)
+    top = float(upper) if upper is not None else float(v.max())
+    if top <= 0:
+        return (np.arange(len(v)),)
+    bounds = [0.0]
+    k = 1
+    while bounds[-1] < top:
+        bounds.append(float(np.floor(k * t)))
+        k += 1
+    lows = np.unique(bounds[:-1])
+    idx = np.searchsorted(lows, v, side="right") - 1
+    return tuple(np.flatnonzero(idx == g) for g in range(len(lows)) if np.any(idx == g))
+
+
+def test_block_partition_matches_interval_loop_oracle():
+    rng = np.random.default_rng(22)
+    for it in range(2000):
+        n = int(rng.integers(1, 60))
+        upper = float(n) if it % 2 else None
+        v = rng.random(n) * (n if upper else rng.uniform(0.0, 3 * n))
+        if it % 7 == 0:
+            v[:] = 0.0
+        elif it % 7 == 1:
+            v = np.round(v)
+        elif it % 7 == 2 and upper:
+            v[rng.random(n) < 0.3] = upper
+        t = rng.uniform(0.05, 1.0) if it % 3 == 0 else rng.uniform(0.3, 2 * n + 1)
+        c = block_partition(v, t, upper)
+        groups = block_partition_oracle(v, t, upper)
+        assert len(c.groups) == c.num_groups == len(groups)
+        for got, want in zip(c.groups, groups):
+            assert np.array_equal(got, want)
+        expect = np.empty(n, dtype=np.int64)
+        for k, grp in enumerate(groups):
+            expect[grp] = k
+        assert np.array_equal(c.labels, expect)
+        assert c.labels.dtype == np.int64
+
+
+def test_block_partition_labels_read_only():
+    c = block_partition(np.array([0.2, 3.1, 3.9, 7.5]), 3.0)
+    assert c.labels.tolist() == [0, 1, 1, 2]
+    with pytest.raises(ValueError):
+        c.labels[0] = 1
+
+
+def test_block_average_rejects_size_mismatch():
+    c = block_partition(np.arange(4, dtype=float), 2.0, upper=4.0)
+    for n in (3, 5):
+        x = np.full((n, n), 0.5)
+        with pytest.raises(ValueError, match=f"4 items .* size {n}"):
+            block_average(x, ~np.eye(n, dtype=bool), c)
+
+
 def test_block_average_cases():
     # single group, fully observed: symmetric mean is exactly 1/2
     n = 4

@@ -213,6 +213,27 @@ def test_edge_list_round_trip():
     assert np.array_equal(h.edges, g.edges)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty edge-list text"),
+        ("5\n", "line 1: not enough values"),
+        ("3 1 7\n0 1\n", "line 1: too many values"),
+        ("\n3 x\n0 1\n", "line 2: invalid literal"),
+        ("3 2\n0 1\n", "line 1: header promises 2 edges, found 1"),
+        ("3 1\n0 1 2\n", "line 2: too many values"),
+        ("3 1\n\n0\n", "line 3: not enough values"),
+        ("3 1\n0 x\n", "line 2: invalid literal"),
+        ("3 2\n0 1\n1 0\n", "line 3: edge \\(1, 0\\) violates 0 <= u < v < 3"),
+        ("3 1\n0 3\n", "line 2: edge \\(0, 3\\) violates"),
+        ("3 1\n-1 2\n", "line 2: edge \\(-1, 2\\) violates"),
+    ],
+)
+def test_from_edge_list_names_the_faulty_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        from_edge_list(text)
+
+
 def test_edges_are_immutable():
     g = make_topology("path", 5)
     with pytest.raises(ValueError):

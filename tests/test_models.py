@@ -132,6 +132,36 @@ def test_inversion_table_examples():
     assert inversion_table(reverse_permutation(3)).tolist() == [2, 1, 0]
 
 
+def inversion_table_dense(p):
+    """Independent oracle: counts from the n x n later-is-smaller mask."""
+    p = np.asarray(p)
+    n = len(p)
+    later_is_smaller = p[:, None] > p[None, :]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return (later_is_smaller & upper).sum(axis=1).astype(np.int64)
+
+
+def test_inversion_table_matches_dense_oracle():
+    rng = np.random.default_rng(23)
+    for n in [*range(1, 40), 257, 1000]:
+        p = random_perm(rng, n)
+        table = inversion_table(p)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, inversion_table_dense(p))
+
+
+def test_inversion_table_memory_is_linear():
+    n = 4096
+    p = random_perm(np.random.default_rng(24), n)
+    tracemalloc.start()
+    try:
+        inversion_table(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * n  # the dense mask alone would take n * n bytes
+
+
 def test_inversion_table_sums_to_kt_from_identity():
     rng = np.random.default_rng(5)
     for _ in range(30):
