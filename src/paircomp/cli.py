@@ -55,6 +55,18 @@ def _read_input(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _write_output(text: str, out: str | None) -> None:
+    """Write text to the --out file, or to stdout without one; an unwritable
+    file is a ValueError, so it is reported like any other bad input."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
 def _error(exc: ValueError) -> int:
     sys.stderr.write(f"paircomp: error: {exc}\n")
     return 2
@@ -71,10 +83,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a bad spec: nothing ran, nothing is written
         return _error(exc)
     csv_text = records_to_csv(records, include_runtime=args.timings)
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    try:
+        _write_output(csv_text, args.out)
+    except ValueError as exc:
+        return _error(exc)
     sys.stderr.write(summarize(records))
     try:
         fits = fit_slope(records)
@@ -98,10 +110,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     g = make_topology(args.graph, args.n, alpha=args.alpha, p=args.p, rng=rng)
     report = minimax_lower_bound(g)
     text = report_to_json(report) + "\n" if args.json else report_to_text(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        _write_output(text, args.out)
+    except ValueError as exc:  # only the write: a bad graph still raises
+        return _error(exc)
     return 0
 
 

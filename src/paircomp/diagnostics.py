@@ -111,8 +111,6 @@ def max_biclique_complement(g: Graph, budget: int = BICLIQUE_BUDGET) -> tuple[in
         size1 = np.bitwise_count(part1).astype(np.int64)
         keep = (size1 + (n - v)) * np.bitwise_count(avail) >= max(best, 1)
         part1, avail, size1 = part1[keep], avail[keep], size1[keep]
-        if part1.size == 0:
-            break
         with_v = part1 | dtype(1 << v)
         avail_v = avail & dtype(full & ~(1 << v | nbr[v]))
         score = (size1 + 1) * np.bitwise_count(avail_v)

@@ -98,22 +98,14 @@ def asp_estimate(s: ObservationSample) -> AspResult:
 
 
 def pav_isotonic(values, weights=None, direction: str = "nondecreasing") -> np.ndarray:
-    """Weighted least-squares projection onto the monotone cone (PAV)."""
+    """Weighted least-squares projection onto the monotone cone (PAV); scipy
+    raises ValueError unless weights has one positive entry per value."""
     y = np.asarray(values, dtype=np.float64)
-    if y.ndim != 1:
+    if y.ndim != 1:  # scipy would take a 0-d scalar
         raise ValueError("values must be one-dimensional")
-    if weights is None:
-        w = np.ones_like(y)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != y.shape:
-            raise ValueError(f"length mismatch: {len(y)} values, {len(w)} weights")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ValueError(f"unknown direction {direction!r}")
-    increasing = direction == "nondecreasing"
-    return np.asarray(_scipy_isotonic(y, weights=w, increasing=increasing).x, dtype=np.float64)
+    return _scipy_isotonic(y, weights=weights, increasing=direction == "nondecreasing").x
 
 
 @dataclass(frozen=True)
@@ -336,12 +328,12 @@ def bap_estimate(
 
     Blocks come from the first sample: its rescaled row sums
     (n/D_i) sum_j Y_ij equal n times the empirical scores, which are
-    partitioned (clamped to [0, n]) with gap t = sum_v 1/sqrt(d_v) into one
-    label per item.  The groups are score intervals, so the labels counted
-    from the highest group follow the score ranking; the k x k block means
-    of the second sample (the first again for single-sample BAP) over those
-    labels go to :func:`project_biso` with the group sizes.  Raises
-    RuntimeError when the projection stops at max_iter without converging.
+    partitioned with gap t = sum_v 1/sqrt(d_v) into one label per item.
+    The groups are score intervals, so the labels counted from the highest
+    group follow the score ranking; the k x k block means of the second
+    sample (the first again for single-sample BAP) over those labels go to
+    :func:`project_biso` with the group sizes.  Raises RuntimeError when
+    the projection stops at max_iter without converging.
     """
     if g.degrees.min() == 0:
         raise ValueError("comparison graph must have no isolated vertices")
@@ -352,7 +344,7 @@ def bap_estimate(
 
     tau_hat = empirical_scores(s1)
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
-    partition = block_partition(np.clip(n * tau_hat, 0.0, n), t, upper=n)
+    partition = block_partition(n * tau_hat, t, upper=n)
     k = partition.num_groups
     lab = k - 1 - partition.labels
 

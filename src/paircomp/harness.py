@@ -363,7 +363,7 @@ def _spec_from_values(items) -> ExperimentSpec:
 
 def parse_config(text: str) -> ExperimentSpec:
     """Flat key = value lines with # comments; keys mirror the CLI flags."""
-    items = []
+    items: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -373,5 +373,7 @@ def parse_config(text: str) -> ExperimentSpec:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        items.append((key, value))
-    return _spec_from_values(items)
+        if key in items:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        items[key] = value
+    return _spec_from_values(items.items())

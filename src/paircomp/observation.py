@@ -99,7 +99,7 @@ def empirical_scores(s: ObservationSample) -> np.ndarray:
     """Fraction of observed comparisons won by each item."""
     counts = np.bincount(s.pairs.ravel(), minlength=s.n)
     i, j = s.pairs[:, 0], s.pairs[:, 1]
-    if s.num_pairs == 0 or counts.min() == 0:
+    if counts.min() == 0:
         raise ValueError(f"item {int(np.argmin(counts))} has no observed comparisons")
     wins = np.bincount(i, weights=s.values, minlength=s.n)
     wins += np.bincount(j, weights=1.0 - s.values, minlength=s.n)

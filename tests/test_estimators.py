@@ -17,6 +17,7 @@ from paircomp import (
     inversion_set,
     is_biso,
     frobenius_error,
+    make_graph,
     make_noisy_sorting,
     make_topology,
     observe,
@@ -655,6 +656,14 @@ def test_bap_validates_sample_sizes():
     for pair in ((s1, small), (small, s1)):
         with pytest.raises(ValueError, match="sample size 6 does not match graph size 8"):
             bap_estimate(*pair, g)
+
+
+def test_bap_rejects_isolated_vertex():
+    g = make_topology("path", 8)
+    s = expectation_sample(make_noisy_sorting(ident(8), 0.3), g)
+    iso = make_graph(8, g.edges[:-1])  # vertex 7 loses its only edge
+    with pytest.raises(ValueError, match="comparison graph must have no isolated vertices"):
+        bap_estimate(s, s, iso)
 
 
 def test_bap_matches_dense_reference_path():

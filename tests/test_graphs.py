@@ -193,6 +193,12 @@ def test_make_graph_validation():
         make_graph(3, [(0, 3)])
     with pytest.raises(ValueError, match="out of range"):
         make_graph(3, [(-1, 2)])
+    for bad in ([(0.5, 1.7), (1, 2)], [(0, np.inf)], [(0, np.nan)]):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            make_graph(3, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        make_graph(3, [(0, 1e20)])  # integral, but past int64
+    assert make_graph(3, [(2.0, 0.0)]).edges.tolist() == [[0, 2]]
     # any orientation and order in, rows (u, v) with u < v in lexicographic order out
     rng = np.random.default_rng(4)
     iu = np.triu_indices(9, k=1)

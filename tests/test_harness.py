@@ -27,6 +27,7 @@ from paircomp import (
     records_to_csv,
     run_sweep,
     run_trial,
+    sample_sst_bands,
     summarize,
 )
 from paircomp import harness
@@ -133,6 +134,29 @@ def test_ns_asp_closed_form_error_matches_dense(lam):
             assert (result.lambda_hat, int(result.pi_hat.size)) == (rec.lambda_hat, rec.n)
             dense = frobenius_error(result.m_hat, m_star)
             assert math.isclose(rec.frob_err, dense, rel_tol=1e-12), (family, rec.n)
+
+
+@pytest.mark.parametrize("model, estimator", [("ns", "bap"), ("ns", "bap1"), ("sst", "asp")])
+def test_dense_error_matches_redraws(model, estimator):
+    # replay each trial's draws on the dense M* and score the estimate against it
+    spec = small_spec(graph_family="power_law", model=model, estimator=estimator, trials=2)
+    for rec in run_sweep(spec):
+        assert rec.error is None, rec.error
+        g = harness.build_graph(spec, rec.n)
+        rng = np.random.default_rng(rec.seed)
+        if model == "ns":
+            m_star = make_noisy_sorting(identity_permutation(rec.n), spec.lambda_star)
+        else:
+            m_star = sample_sst_bands(rec.n, rng)
+        s1 = observe(m_star, g, assign_random(g, rng), "bernoulli", rng)
+        if estimator == "asp":
+            m_hat = asp_estimate(s1).m_hat
+        else:
+            s2 = s1  # bap1 reuses the first sample
+            if estimator == "bap":
+                s2 = observe(m_star, g, assign_random(g, rng), "bernoulli", rng)
+            m_hat = bap_estimate(s1, s2, g)
+        assert rec.frob_err == frobenius_error(m_hat, m_star), (rec.n, rec.trial_index)
 
 
 def test_ns_asp_trial_allocates_no_dense_matrix():
@@ -371,6 +395,16 @@ def test_cli_simulate_and_slope(tmp_path, capsys):
     assert "slope=" in capsys.readouterr().out
 
 
+def test_cli_exact_slope_lines(tmp_path, capsys):
+    # lambda = 0 in expectation: every estimate is exact, so no slope is fitted
+    out = tmp_path / "r.csv"
+    args = ["simulate", "--graph", "path", "--n-list", "8,16", "--lambda", "0"]
+    assert cli_main(args + ["--mode", "expectation", "--trials", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines()[-1] == "slope[path/asp/ns]: exact (zero mean error)"
+    assert cli_main(["slope", "--input", str(out)]) == 0
+    assert capsys.readouterr().out == "path/asp/ns: exact (zero mean error)\n"
+
+
 def test_cli_slope_single_n_fails_cleanly(tmp_path, capsys):
     out = tmp_path / "r.csv"
     args = ["simulate", "--graph", "path", "--n", "8", "--trials", "2", "--out", str(out)]
@@ -400,12 +434,16 @@ def test_cli_sweep_from_config(tmp_path):
     assert len(out.read_text().splitlines()) == 5
 
 
-def test_cli_diagnose(capsys):
+def test_cli_diagnose(tmp_path, capsys):
     assert cli_main(["diagnose", "--graph", "star", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert "alpha = 4" in out
     assert cli_main(["diagnose", "--graph", "star", "--n", "5", "--json"]) == 0
     assert '"minimax_lb"' in capsys.readouterr().out
+    path = tmp_path / "d.txt"
+    assert cli_main(["diagnose", "--graph", "star", "--n", "5", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == out
 
 
 def test_cli_stdout_csv(capsys):
@@ -434,6 +472,15 @@ def test_cli_stdout_csv(capsys):
         (["sweep", "--config", "MISSING"], "cannot read MISSING: No such file or directory"),
         (["slope", "--input", "MISSING"], "cannot read MISSING: No such file or directory"),
         (["slope", "--input", "CSV"], "missing or unexpected CSV header"),
+        (["sweep", "--config", "DUP"], "line 4: duplicate key 'trials'"),
+        (
+            ["simulate", "--graph", "path", "--n-list", "8,16", "--trials", "1", "--out", "NODIR"],
+            "cannot write NODIR: No such file or directory",
+        ),
+        (
+            ["diagnose", "--graph", "star", "--n", "5", "--out", "NODIR"],
+            "cannot write NODIR: No such file or directory",
+        ),
     ],
     ids=[
         "config-trials-abc",
@@ -443,14 +490,19 @@ def test_cli_stdout_csv(capsys):
         "missing-config",
         "missing-csv",
         "csv-bad-header",
+        "config-duplicate-key",
+        "simulate-out-unwritable",
+        "diagnose-out-unwritable",
     ],
 )
 def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
     files = {"CFG": tmp_path / "bad.cfg", "CSV": tmp_path / "bad.csv", "MISSING": tmp_path / "nope"}
+    files.update(DUP=tmp_path / "dup.cfg", NODIR=tmp_path / "nodir" / "x.out")
     files["CFG"].write_text("graph = path\nn_list = 8,16\ntrials = abc\n")
     files["CSV"].write_text("graph,n\npath,8\n")
+    files["DUP"].write_text("graph = path\nn_list = 8,16\ntrials = 3\ntrials = 5\n")
     argv = [str(files[a]) if a in files else a for a in argv]
-    reason = reason.replace("MISSING", str(files["MISSING"]))
+    reason = reason.replace("MISSING", str(files["MISSING"])).replace("NODIR", str(files["NODIR"]))
     assert cli_main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -351,6 +351,12 @@ def test_is_biso_cases():
     bad = is_biso(make_noisy_sorting(reverse_permutation(4), 0.4), 1e-12)
     assert not bad
     assert bad.violation is not None
+    skewed = make_noisy_sorting(identity_permutation(4), 0.2)
+    skewed[0, 3] = 0.9
+    assert is_biso(skewed, 1e-12).violation == "skew violated at (0, 3) by 0.2"
+    # within tol of skew and of row order, yet column 0 rises by 0.21 > tol
+    m = np.array([[0.5, 0.7, 0.65], [0.22, 0.5, 0.5], [0.43, 0.5, 0.5]])
+    assert is_biso(m, 0.1).violation == "column 0 increases at row 1 -> 2 by 0.21"
 
 
 def test_is_sst_tristate():

@@ -86,6 +86,29 @@ def test_observe_validates_inputs():
         observe(m4, g, identity_permutation(4), "nonsense")
 
 
+def _noisy_sorting_4(entries):
+    m = make_noisy_sorting(identity_permutation(4), 0.1)
+    for ij, value in entries.items():
+        m[ij] = value
+    return m
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.full((4, 3), 0.5), "comparison matrix must be square, got (4, 3)"),
+        (_noisy_sorting_4({(0, 1): 1.2, (1, 0): -0.2}), "entries must lie in [0, 1]"),
+        (_noisy_sorting_4({(2, 2): 0.6}), "diagonal entries must equal 1/2"),
+        (_noisy_sorting_4({(0, 1): 0.9}), "skew constraint M + M^T = ee^T violated"),
+    ],
+    ids=["not-square", "outside-unit-interval", "diagonal", "skew"],
+)
+def test_observe_rejects_invalid_matrix(m, message):
+    with pytest.raises(ValueError) as err:
+        observe(m, make_topology("path", 4), identity_permutation(4), "expectation")
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
 def test_observe_noisy_sorting_model_matches_its_dense_matrix(mode):
     for family, n in (("two_cliques", 16), ("power_law", 33), ("cycle", 40)):
