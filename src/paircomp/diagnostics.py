@@ -69,8 +69,7 @@ def max_independent_set(g: Graph, budget: int = INDEPENDENT_SET_BUDGET) -> tuple
         if size + candidates.bit_count() <= best_size:
             return
         if candidates == 0:
-            if size > best_size:
-                best_size, best_mask = size, current
+            best_size, best_mask = size, current
             return
         v = (candidates & -candidates).bit_length() - 1
         bit = 1 << v
@@ -133,7 +132,8 @@ def max_biclique_complement(g: Graph, budget: int = BICLIQUE_BUDGET) -> tuple[in
     return best, (v1, v2)
 
 
-# closed forms, equal to the exact searches' witnesses wherever those run
+# closed forms in the exact searches' shapes, equal to their witnesses
+# wherever those run; None for a family without closed forms
 def _closed_form_witnesses(g: Graph):
     n = g.n
     if g.family == "star":
@@ -155,22 +155,8 @@ def _closed_form_witnesses(g: Graph):
         ind, v1, v2 = (0, h), tuple(range(h)), tuple(range(h, n))
     else:
         return None
-    return ind, ((v1, v2) if v1 and v2 else ((), ()))
-
-
-def _alpha_with_witness(g: Graph) -> tuple[int, tuple[int, ...]]:
-    closed = _closed_form_witnesses(g)
-    if closed is None:
-        return max_independent_set(g)
-    return len(closed[0]), closed[0]
-
-
-def _beta_with_witness(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    closed = _closed_form_witnesses(g)
-    if closed is None:
-        return max_biclique_complement(g)
-    v1, v2 = closed[1]
-    return len(v1) * len(v2), (v1, v2)
+    v1, v2 = (v1, v2) if v1 and v2 else ((), ())
+    return (len(ind), ind), (len(v1) * len(v2), (v1, v2))
 
 
 @dataclass(frozen=True)
@@ -190,25 +176,25 @@ class AdversarialPair:
     witness: tuple
 
 
-def adversarial_pair(g: Graph, mode: str, lam: float = ADVERSARIAL_LAMBDA) -> AdversarialPair:
+def adversarial_pair(g: Graph, mode: str) -> AdversarialPair:
     """Construct the certificate pair for one of the two lower-bound terms.
 
     A list of blocks takes the top ranks, in order under pi1 and in reverse
     order under pi2: the witness items as singletons in independent_set
     mode, [V1, V2] in biclique mode.  All other items keep identical ranks,
-    so the two matrices agree on every graph edge.
+    so the two matrices agree on every graph edge.  The noise gap is
+    ADVERSARIAL_LAMBDA, the value the diagnostics report states.
     """
     if mode not in ("independent_set", "biclique"):
         raise ValueError(f"unknown adversarial mode {mode!r}")
-    if not 0.0 < lam <= 0.5:
-        raise ValueError(f"lambda must lie in (0, 1/2], got {lam}")
+    closed = _closed_form_witnesses(g)
     if mode == "independent_set":
-        alpha, witness = _alpha_with_witness(g)
+        alpha, witness = closed[0] if closed else max_independent_set(g)
         if alpha < 2:
             raise ValueError(f"independent set of size {alpha} gives no pair")
         blocks: tuple = tuple((v,) for v in witness)
     else:
-        _, witness = _beta_with_witness(g)
+        _, witness = closed[1] if closed else max_biclique_complement(g)
         if not all(witness):
             raise ValueError("graph admits no complement biclique with nonempty parts")
         blocks = witness
@@ -219,11 +205,11 @@ def adversarial_pair(g: Graph, mode: str, lam: float = ADVERSARIAL_LAMBDA) -> Ad
     pi2 = identity_permutation(g.n)
     pi1[top1 + rest] = pi2[top2 + rest] = np.arange(g.n)
     return AdversarialPair(
-        m1=make_noisy_sorting(pi1, lam),
-        m2=make_noisy_sorting(pi2, lam),
+        m1=make_noisy_sorting(pi1, ADVERSARIAL_LAMBDA),
+        m2=make_noisy_sorting(pi2, ADVERSARIAL_LAMBDA),
         pi1=pi1,
         pi2=pi2,
-        lam=lam,
+        lam=ADVERSARIAL_LAMBDA,
         mode=mode,
         witness=witness,
     )
@@ -242,8 +228,9 @@ class DiagnosticsReport:
 def minimax_lower_bound(g: Graph) -> DiagnosticsReport:
     """Assemble the worst-case report: max(alpha(alpha-1), beta(G^c)) / (4 n^2)."""
     d_g = degree_functional(g)  # raises on an isolated vertex before any search
-    alpha, ind_witness = _alpha_with_witness(g)
-    beta, bic_witness = _beta_with_witness(g)
+    closed = _closed_form_witnesses(g)
+    alpha, ind_witness = closed[0] if closed else max_independent_set(g)
+    beta, bic_witness = closed[1] if closed else max_biclique_complement(g)
     lb = max(alpha * (alpha - 1), beta) / (4.0 * g.n**2)
     return DiagnosticsReport(
         alpha=alpha,

@@ -216,11 +216,10 @@ class BlockPartition:
 
     labels is a read-only int64 vector: labels[i] is the group of item i,
     groups numbered 0..k-1 in the order of their defining intervals, every
-    group nonempty.  threshold is the interval-generating gap t.
+    group nonempty.
     """
 
     labels: np.ndarray
-    threshold: float
 
     @property
     def num_groups(self) -> int:
@@ -256,7 +255,7 @@ def block_partition(values, t: float, upper: float | None = None) -> BlockPartit
     lows = lows[: max(1, np.searchsorted(lows, top))]
     labels = np.unique(np.searchsorted(lows, v, side="right"), return_inverse=True)[1]
     labels.flags.writeable = False
-    return BlockPartition(labels=labels, threshold=float(t))
+    return BlockPartition(labels=labels)
 
 
 def _block_means(key: np.ndarray, values, k: int) -> np.ndarray:

@@ -198,6 +198,8 @@ def run_trial(
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[TrialRecord]:
     """All (n, trial) combinations in (n, trial_index) order; each size's
     graph is built once and passed to all of that size's trials."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     ns, ts = zip(*product(spec.n_values, range(spec.trials)))
     gs = (g for n in spec.n_values for g in repeat(build_graph(spec, n), spec.trials))
     if workers > 1:
@@ -227,15 +229,13 @@ def mean_errors(records) -> dict[int, float]:
     return {n: float(np.mean(v)) for n, v in sorted(by_n.items())}
 
 
-def fit_slope(
-    records,
-    group_key: tuple[str, ...] = ("graph_family", "estimator", "model"),
-) -> dict[tuple, SlopeFit]:
-    """Per-group OLS of log(mean error) on log(n)."""
+def fit_slope(records) -> dict[tuple, SlopeFit]:
+    """OLS of log(mean error) on log(n) per (graph_family, estimator, model)."""
     groups: dict[tuple, list[TrialRecord]] = {}
     for r in _successful(records):
-        key = tuple(getattr(r, f) for f in group_key)
-        groups.setdefault(key, []).append(r)
+        groups.setdefault((r.graph_family, r.estimator, r.model), []).append(r)
+    if not groups:
+        raise ValueError("no successful trials to fit")
     out: dict[tuple, SlopeFit] = {}
     for key, group in groups.items():
         means = mean_errors(group)

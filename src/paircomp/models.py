@@ -289,15 +289,15 @@ def noisy_sorting_error(n: int, kt: int, lam_a: float, lam_b: float) -> float:
     return float(total / n**2)
 
 
-def check_comparison_matrix(m: np.ndarray, tol: float = SKEW_TOL) -> None:
+def check_comparison_matrix(m: np.ndarray) -> None:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"comparison matrix must be square, got {m.shape}")
-    if m.min() < -tol or m.max() > 1.0 + tol:
+    if m.min() < -SKEW_TOL or m.max() > 1.0 + SKEW_TOL:
         raise ValueError("entries must lie in [0, 1]")
-    if np.abs(np.diagonal(m) - 0.5).max(initial=0.0) > tol:
+    if np.abs(np.diagonal(m) - 0.5).max(initial=0.0) > SKEW_TOL:
         raise ValueError("diagonal entries must equal 1/2")
-    if np.abs(m + m.T - 1.0).max(initial=0.0) > tol:
+    if np.abs(m + m.T - 1.0).max(initial=0.0) > SKEW_TOL:
         raise ValueError("skew constraint M + M^T = ee^T violated")
 
 

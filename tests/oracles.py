@@ -1,0 +1,74 @@
+"""Exact biso projections from the duals of isotonic regression.
+
+Independent of ``project_biso``'s Dykstra sweeps: scipy's NNLS and BVLS
+solve the dual, and each oracle returns its KKT residual so a caller can
+certify the answer before comparing against it.
+"""
+
+import numpy as np
+from scipy.optimize import lsq_linear, nnls
+
+
+def triangle_differences(n):
+    """Strict upper triangle indices of an n x n grid and the matrix D of its
+    constraints: D u >= 0 says rows nondecrease and columns nonincrease."""
+    iu = np.triu_indices(n, 1)
+    i, j = iu
+    pos = np.zeros((n, n), dtype=np.int64)
+    pos[iu] = np.arange(len(i))
+    row, col = j + 1 < n, i + 1 < j
+    lo = np.concatenate([pos[i[row], j[row]], pos[i[col] + 1, j[col]]])
+    hi = np.concatenate([pos[i[row], j[row] + 1], pos[i[col], j[col]]])
+    d = np.zeros((len(lo), len(i)))
+    d[np.arange(len(lo)), lo] = -1.0
+    d[np.arange(len(lo)), hi] = 1.0
+    return iu, d
+
+
+def biso_projection_by_nnls(x):
+    """Exact projection from the NNLS dual of isotonic regression.
+
+    On the strict upper triangle the biso set is 2-D isotonic regression
+    (rows nondecreasing, columns nonincreasing) bounded to [1/2, 1], and the
+    bounded fit is the unbounded one clipped.  With constraints D u >= 0 and
+    target s, the unbounded fit is u = s + D^T lam, lam = argmin_{lam >= 0}
+    ||D^T lam + s||.  Returns u, its KKT residual (primal infeasibility and
+    complementarity; stationarity holds by construction) and the projection.
+    """
+    n = x.shape[0]
+    iu, d = triangle_differences(n)
+    s = np.clip(0.5 * (x - x.T + 1.0), 0.0, 1.0)[iu]
+    lam = nnls(d.T, -s)[0] if len(d) else np.zeros(0)
+    u = s + d.T @ lam
+    slack = d @ u
+    kkt = max(0.0, -slack.min(initial=0.0), np.abs(lam * slack).max(initial=0.0))
+    out = np.full((n, n), 0.5)
+    out[iu] = np.clip(u, 0.5, 1.0)
+    out.T[iu] = 1.0 - out[iu]
+    return u, kkt, out
+
+
+def weighted_grid_projection_by_bvls(target, sizes):
+    """Exact projection with groups of the given sizes, from the BVLS dual.
+
+    target is the g x g grid of block values of t.  On its strict upper
+    triangle, with weights w = s_a s_b and v = sqrt(w) u, the weighted fit is
+    min 1/2 ||v - sqrt(w) t||^2 s.t. A v >= 0, A = D diag(1/sqrt(w)); its
+    dual gives v = sqrt(w) t + A^T lam, lam = argmin_{lam >= 0}
+    ||A^T lam + sqrt(w) t||.  Returns the KKT residual (primal infeasibility
+    and complementarity) and the n x n projection.
+    """
+    g = len(sizes)
+    iu, d = triangle_differences(g)
+    sw = np.sqrt(np.outer(sizes, sizes)[iu].astype(np.float64))
+    a = d / sw
+    b = -sw * target[iu]
+    lam = lsq_linear(a.T, b, bounds=(0, np.inf), method="bvls").x if len(d) else np.zeros(0)
+    u = (a.T @ lam - b) / sw
+    slack = d @ u
+    kkt = max(0.0, -slack.min(initial=0.0), np.abs(lam * slack).max(initial=0.0))
+    grid = np.full((g, g), 0.5)
+    grid[iu] = np.clip(u, 0.5, 1.0)
+    grid.T[iu] = 1.0 - grid[iu]
+    lab = np.repeat(np.arange(g), sizes)
+    return kkt, grid[np.ix_(lab, lab)]

@@ -33,6 +33,7 @@ from paircomp import (
     table_to_permutation,
     fit_slope,
 )
+from oracles import biso_projection_by_nnls
 
 MASTER_SEED = 20250810
 
@@ -197,21 +198,16 @@ def test_criterion_08_projection_correctness():
         zip(mats[:30], projections[:30]), zip(mats[30:60], projections[30:60])
     ):
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 10 * tol
-    # small-n constrained-least-squares oracle
-    cvxpy = pytest.importorskip("cvxpy")
+    # small-n oracle: the exact projection from the NNLS dual, KKT-certified
     for n in (3, 4, 5, 6):
         for _ in range(3):
             a = rng.random((n, n))
-            x = cvxpy.Variable((n, n))
-            cons = [x + x.T == np.ones((n, n)), x >= 0, x <= 1]
-            cons += [x[:, j] <= x[:, j + 1] for j in range(n - 1)]
-            cvxpy.Problem(cvxpy.Minimize(cvxpy.sum_squares(x - a)), cons).solve(
-                solver="CLARABEL"
-            )
+            _, kkt, exact = biso_projection_by_nnls(a)
+            assert kkt < 1e-12
             ours = project_biso(a, tol=1e-10, max_iter=500_000)
             assert ours.converged
-            assert np.abs(ours.matrix - x.value).max() < 1e-5
-    _report(8, "projection is feasible, idempotent, nonexpansive, and matches the QP oracle")
+            assert np.abs(ours.matrix - exact).max() < 1e-5
+    _report(8, "projection is feasible, idempotent, nonexpansive, and matches the NNLS dual oracle")
 
 
 CERTIFICATION_CASES = [

@@ -270,6 +270,23 @@ def test_closed_form_families_skip_exact_search(monkeypatch):
         adversarial_pair(make_topology("clique_plus_path", 8), "biclique")
 
 
+def test_one_closed_form_lookup_per_report_and_pair(monkeypatch):
+    calls = []
+    lookup = diagnostics._closed_form_witnesses
+    monkeypatch.setattr(
+        diagnostics, "_closed_form_witnesses", lambda g: calls.append(g) or lookup(g)
+    )
+    for g in (make_topology("star", 8), make_topology("clique_plus_path", 8)):
+        for call in (
+            lambda: minimax_lower_bound(g),
+            lambda: adversarial_pair(g, "independent_set"),
+            lambda: adversarial_pair(g, "biclique"),
+        ):
+            calls.clear()
+            call()
+            assert len(calls) == 1
+
+
 def test_isolated_vertex_raises_before_any_search(monkeypatch):
     def search(g, budget=None):
         raise AssertionError("exact search ran on a graph with an isolated vertex")
@@ -346,6 +363,8 @@ def test_adversarial_pair_domain_errors():
         adversarial_pair(make_topology("complete", 6), "independent_set")
     with pytest.raises(ValueError):
         adversarial_pair(make_topology("star", 6), "nonsense")
+    with pytest.raises(TypeError):  # the noise gap is ADVERSARIAL_LAMBDA, not a setting
+        adversarial_pair(make_topology("star", 6), "independent_set", lam=0.3)
 
 
 def test_asp_incurs_lower_bound_on_random_graphs():

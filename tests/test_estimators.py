@@ -1,8 +1,8 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.optimize import lsq_linear, nnls
 
 from paircomp import (
     asp_estimate,
@@ -30,6 +30,7 @@ from paircomp import (
     sample_sst_bands,
     assign_random,
 )
+from oracles import biso_projection_by_nnls, weighted_grid_projection_by_bvls
 
 
 def ident(n):
@@ -201,60 +202,6 @@ def test_project_reports_nonconvergence():
     assert proj.iterations == 3
 
 
-def test_project_matches_qp_oracle_small_n():
-    cvxpy = pytest.importorskip("cvxpy")
-    rng = np.random.default_rng(9)
-    for n in (3, 4, 5, 6):
-        a = rng.random((n, n))
-        x = cvxpy.Variable((n, n))
-        constraints = [x + x.T == np.ones((n, n)), x >= 0, x <= 1]
-        constraints += [x[:, j] <= x[:, j + 1] for j in range(n - 1)]
-        problem = cvxpy.Problem(cvxpy.Minimize(cvxpy.sum_squares(x - a)), constraints)
-        problem.solve(solver="CLARABEL")
-        ours = project_biso(a, tol=1e-10, max_iter=200_000)
-        assert ours.converged
-        assert np.abs(ours.matrix - x.value).max() < 1e-5
-
-
-def triangle_differences(n):
-    """Strict upper triangle indices of an n x n grid and the matrix D of its
-    constraints: D u >= 0 says rows nondecrease and columns nonincrease."""
-    iu = np.triu_indices(n, 1)
-    i, j = iu
-    pos = np.zeros((n, n), dtype=np.int64)
-    pos[iu] = np.arange(len(i))
-    row, col = j + 1 < n, i + 1 < j
-    lo = np.concatenate([pos[i[row], j[row]], pos[i[col] + 1, j[col]]])
-    hi = np.concatenate([pos[i[row], j[row] + 1], pos[i[col], j[col]]])
-    d = np.zeros((len(lo), len(i)))
-    d[np.arange(len(lo)), lo] = -1.0
-    d[np.arange(len(lo)), hi] = 1.0
-    return iu, d
-
-
-def biso_projection_by_nnls(x):
-    """Exact projection from the NNLS dual of isotonic regression.
-
-    On the strict upper triangle the biso set is 2-D isotonic regression
-    (rows nondecreasing, columns nonincreasing) bounded to [1/2, 1], and the
-    bounded fit is the unbounded one clipped.  With constraints D u >= 0 and
-    target s, the unbounded fit is u = s + D^T lam, lam = argmin_{lam >= 0}
-    ||D^T lam + s||.  Returns u, its KKT residual (primal infeasibility and
-    complementarity; stationarity holds by construction) and the projection.
-    """
-    n = x.shape[0]
-    iu, d = triangle_differences(n)
-    s = np.clip(0.5 * (x - x.T + 1.0), 0.0, 1.0)[iu]
-    lam = nnls(d.T, -s)[0] if len(d) else np.zeros(0)
-    u = s + d.T @ lam
-    slack = d @ u
-    kkt = max(0.0, -slack.min(initial=0.0), np.abs(lam * slack).max(initial=0.0))
-    out = np.full((n, n), 0.5)
-    out[iu] = np.clip(u, 0.5, 1.0)
-    out.T[iu] = 1.0 - out[iu]
-    return u, kkt, out
-
-
 def bap_draw(family, n, seed, mode="bernoulli"):
     """Graph and two observation samples of one SST draw."""
     rng = np.random.default_rng(seed)
@@ -280,6 +227,8 @@ def bap_projection_input(family, n, seed, mode="bernoulli"):
 def test_project_matches_nnls_dual_oracle():
     rng = np.random.default_rng(20)
     inputs = [rng.random((n, n)) for n in range(2, 11)]
+    rng = np.random.default_rng(9)
+    inputs += [rng.random((n, n)) for n in (3, 4, 5, 6)]
     # scipy's nnls can stop short of optimal on tied block inputs, so every
     # oracle answer is certified by its KKT residual before it is compared
     inputs += [
@@ -307,32 +256,6 @@ def compress_rows(x):
     t = np.clip(0.5 * (x - x.T + 1.0), 0.0, 1.0)
     starts = np.flatnonzero(np.r_[True, np.any(t[1:] != t[:-1], axis=1)])
     return t, starts, np.diff(np.r_[starts, len(t)])
-
-
-def weighted_grid_projection_by_bvls(target, sizes):
-    """Exact projection with groups of the given sizes, from the BVLS dual.
-
-    target is the g x g grid of block values of t.  On its strict upper
-    triangle, with weights w = s_a s_b and v = sqrt(w) u, the weighted fit is
-    min 1/2 ||v - sqrt(w) t||^2 s.t. A v >= 0, A = D diag(1/sqrt(w)); its
-    dual gives v = sqrt(w) t + A^T lam, lam = argmin_{lam >= 0}
-    ||A^T lam + sqrt(w) t||.  Returns the KKT residual (primal infeasibility
-    and complementarity) and the n x n projection.
-    """
-    g = len(sizes)
-    iu, d = triangle_differences(g)
-    sw = np.sqrt(np.outer(sizes, sizes)[iu].astype(np.float64))
-    a = d / sw
-    b = -sw * target[iu]
-    lam = lsq_linear(a.T, b, bounds=(0, np.inf), method="bvls").x if len(d) else np.zeros(0)
-    u = (a.T @ lam - b) / sw
-    slack = d @ u
-    kkt = max(0.0, -slack.min(initial=0.0), np.abs(lam * slack).max(initial=0.0))
-    grid = np.full((g, g), 0.5)
-    grid[iu] = np.clip(u, 0.5, 1.0)
-    grid.T[iu] = 1.0 - grid[iu]
-    lab = np.repeat(np.arange(g), sizes)
-    return kkt, grid[np.ix_(lab, lab)]
 
 
 def test_project_matches_bvls_dual_oracle_on_block_inputs():
@@ -547,6 +470,7 @@ def test_block_partition_matches_interval_loop_oracle():
 
 def test_block_partition_labels_read_only():
     c = block_partition(np.array([0.2, 3.1, 3.9, 7.5]), 3.0)
+    assert [f.name for f in dataclasses.fields(c)] == ["labels"]
     assert c.labels.tolist() == [0, 1, 1, 2]
     with pytest.raises(ValueError):
         c.labels[0] = 1

@@ -426,6 +426,27 @@ def test_cli_single_n_reports_skipped_slope(capsys):
     )
 
 
+ALL_FAILED = "simulate --graph erdos_renyi --p 0.01 --n-list 8,16 --trials 2 --seed 1".split()
+
+
+def test_cli_all_failed_sweep_reports_skipped_slope(capsys):
+    # at p = 0.01 item 0 has no comparisons in any trial: all fail, no slope is fitted
+    assert cli_main(ALL_FAILED) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "failed trials: 4"
+    assert err[-1] == "slope: skipped (no successful trials to fit)"
+
+
+def test_cli_slope_all_failed_csv_fails_cleanly(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert cli_main([*ALL_FAILED, "--out", str(out)]) == 1
+    capsys.readouterr()
+    assert cli_main(["slope", "--input", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "slope: no successful trials to fit\n"
+
+
 def test_cli_sweep_from_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("graph = path\nn_list = 8,12\ntrials = 2\nseed = 3\n")
@@ -481,6 +502,7 @@ def test_cli_stdout_csv(capsys):
             ["diagnose", "--graph", "star", "--n", "5", "--out", "NODIR"],
             "cannot write NODIR: No such file or directory",
         ),
+        (["simulate", "--graph", "path", "--n", "8", "--workers", "0"], "workers must be >= 1"),
     ],
     ids=[
         "config-trials-abc",
@@ -493,6 +515,7 @@ def test_cli_stdout_csv(capsys):
         "config-duplicate-key",
         "simulate-out-unwritable",
         "diagnose-out-unwritable",
+        "workers-0",
     ],
 )
 def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
