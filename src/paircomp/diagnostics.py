@@ -12,6 +12,11 @@ one vertex per level, over numpy arrays of bitmasks.
 The module also constructs the adversarial matrix pairs that certify the
 bound: two noisy-sorting matrices that agree on every observed edge yet
 differ by a known Frobenius separation.
+
+Witness rule: max_independent_set, max_biclique_complement and the closed
+forms all return the lexicographically smallest optimum, vertices in
+ascending order.  For beta that is the smallest V1; V2 is every vertex
+outside V1 with no edge into V1, and beta = 0 gives ((), ()).
 """
 
 from __future__ import annotations
@@ -48,17 +53,21 @@ class SearchBudgetError(ValueError):
 def _neighbor_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
     for u, v in g.edges:
-        u, v = int(u), int(v)  # python ints: bitmasks may exceed 64 bits
+        u, v = int(u), int(v)  # python ints, not numpy scalars: cheaper bit arithmetic
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks
 
 
-def max_independent_set(g: Graph, budget: int = INDEPENDENT_SET_BUDGET) -> tuple[int, tuple[int, ...]]:
+def _members(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(v for v in range(n) if mask >> v & 1)
+
+
+def max_independent_set(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact independence number with a witness (branch and bound)."""
-    if g.n > budget:
+    if g.n > INDEPENDENT_SET_BUDGET:
         raise SearchBudgetError(
-            f"exact independent-set search budget is n <= {budget}, got n={g.n}"
+            f"exact independent-set search budget is n <= {INDEPENDENT_SET_BUDGET}, got n={g.n}"
         )
     nbr = _neighbor_masks(g)
     best_size = 0
@@ -77,11 +86,10 @@ def max_independent_set(g: Graph, budget: int = INDEPENDENT_SET_BUDGET) -> tuple
         expand(candidates & ~bit, current, size)
 
     expand((1 << g.n) - 1, 0, 0)
-    witness = tuple(v for v in range(g.n) if best_mask >> v & 1)
-    return best_size, witness
+    return best_size, _members(best_mask, g.n)
 
 
-def max_biclique_complement(g: Graph, budget: int = BICLIQUE_BUDGET) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+def max_biclique_complement(g: Graph) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact max |V1||V2| over disjoint sets with no graph edges across.
 
     Equivalently the biclique number of the complement graph.  For a fixed
@@ -91,49 +99,39 @@ def max_biclique_complement(g: Graph, budget: int = BICLIQUE_BUDGET) -> tuple[in
     depth-first order.  Nodes whose bound (|V1| + n - v) * |avail| is below
     the best score so far are pruned, every survivor branches into its
     include and exclude child, and the include children are scored.  Ties
-    are kept, so the witness is the first pair scoring beta in depth-first
-    preorder.
+    are kept, so the witness is the smallest V1 scoring beta.
     """
-    budget = min(budget, 64)  # the frontier holds 64-bit masks
-    if g.n > budget:
+    if g.n > BICLIQUE_BUDGET:
         raise SearchBudgetError(
-            f"exact biclique search budget is n <= {budget}, got n={g.n}"
+            f"exact biclique search budget is n <= {BICLIQUE_BUDGET}, got n={g.n}"
         )
     n = g.n
     nbr = _neighbor_masks(g)
-    dtype = np.uint32 if n <= 32 else np.uint64
     full = (1 << n) - 1
-    part1 = np.zeros(1, dtype)
-    avail = np.full(1, full, dtype)
+    part1 = np.zeros(1, np.uint32)  # n <= BICLIQUE_BUDGET <= 32 bits
+    avail = np.full(1, full, np.uint32)
     best, best_parts = 0, (0, 0)
     for v in range(n):
         size1 = np.bitwise_count(part1).astype(np.int64)
         keep = (size1 + (n - v)) * np.bitwise_count(avail) >= max(best, 1)
         part1, avail, size1 = part1[keep], avail[keep], size1[keep]
-        with_v = part1 | dtype(1 << v)
-        avail_v = avail & dtype(full & ~(1 << v | nbr[v]))
+        with_v = part1 | np.uint32(1 << v)
+        avail_v = avail & np.uint32(full & ~(1 << v | nbr[v]))
         score = (size1 + 1) * np.bitwise_count(avail_v)
         top = int(score.max())
         if top >= max(best, 1):
-            i = int(np.argmax(score == top))  # first of this level in preorder
+            i = int(np.argmax(score == top))  # smallest V1 of this level
             hit = (int(with_v[i]), int(avail_v[i]))
-            # an earlier level's hit comes first unless, at the lowest vertex
-            # where the two V1 differ, the new hit includes it and the old
-            # one still has a vertex above it (else the old one is its prefix)
-            diff = hit[0] ^ best_parts[0]
-            low = diff & -diff
-            if top > best or (hit[0] & low and best_parts[0] >> low.bit_length()):
+            if top > best or _members(hit[0], n) < _members(best_parts[0], n):
                 best, best_parts = top, hit
         # children in preorder: each include child right before its sibling
         part1 = np.stack([with_v, part1], axis=1).ravel()
         avail = np.stack([avail_v, avail], axis=1).ravel()
-    v1 = tuple(v for v in range(n) if best_parts[0] >> v & 1)
-    v2 = tuple(v for v in range(n) if best_parts[1] >> v & 1)
-    return best, (v1, v2)
+    return best, (_members(best_parts[0], n), _members(best_parts[1], n))
 
 
-# closed forms in the exact searches' shapes, equal to their witnesses
-# wherever those run; None for a family without closed forms
+# closed forms in the exact searches' shapes and witness rule; None for a
+# family without closed forms
 def _closed_form_witnesses(g: Graph):
     n = g.n
     if g.family == "star":

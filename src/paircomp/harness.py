@@ -142,15 +142,13 @@ def build_graph(spec: ExperimentSpec, n: int) -> Graph:
     )
 
 
-def run_trial(
-    spec: ExperimentSpec, n: int, trial_index: int, graph: Graph | None = None
-) -> TrialRecord:
-    """Run one seeded trial; estimator failures become failed records."""
+def run_trial(spec: ExperimentSpec, n: int, trial_index: int, graph: Graph) -> TrialRecord:
+    """Run one seeded trial on graph, the size-n topology from build_graph;
+    estimator failures become failed records."""
     seed = derive_seed(spec.master_seed, n, trial_index)
     start = time.perf_counter()
     metrics, error = (None, None, None, None), None
     try:
-        g = graph if graph is not None else build_graph(spec, n)
         rng = np.random.default_rng(seed)
         pi_star = identity_permutation(n)
         # noisy sorting stays matrix-free unless BAP needs M* densified
@@ -158,9 +156,9 @@ def run_trial(
             m_star = NoisySorting(pi_star, spec.lambda_star)
         else:
             m_star = sample_sst_bands(n, rng)
-        sigma1 = assign_random(g, rng)
+        sigma1 = assign_random(graph, rng)
         value_rng = rng if spec.mode == "bernoulli" else None
-        s1 = observe(m_star, g, sigma1, spec.mode, value_rng)
+        s1 = observe(m_star, graph, sigma1, spec.mode, value_rng)
         kt = lam_hat = None
         if spec.estimator == "asp":
             result = asp_estimate(s1)
@@ -173,13 +171,13 @@ def run_trial(
         else:
             s2 = s1  # bap1 reuses the first sample
             if spec.estimator == "bap":
-                sigma2 = assign_random(g, rng)
-                s2 = observe(m_star, g, sigma2, spec.mode, value_rng)
-            m_hat = bap_estimate(s1, s2, g)
+                sigma2 = assign_random(graph, rng)
+                s2 = observe(m_star, graph, sigma2, spec.mode, value_rng)
+            m_hat = bap_estimate(s1, s2, graph)
             if spec.model == "ns":
                 m_star = make_noisy_sorting(pi_star, spec.lambda_star)
             err = frobenius_error(m_hat, m_star)
-        metrics = (err, kt, lam_hat, degree_functional(g))
+        metrics = (err, kt, lam_hat, degree_functional(graph))
     except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
         error = f"{type(exc).__name__}: {exc}"
     return TrialRecord(

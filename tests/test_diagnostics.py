@@ -186,6 +186,46 @@ def test_beta_witness_is_first_tie_in_dfs_order(g, expected, other):
     assert max_biclique_complement(g) == expected
 
 
+def lexicographic_optima(g):
+    """Oracle: every vertex subset; the lexicographically smallest optimum of
+    alpha and of beta (smallest V1, V2 its available set, ((), ()) at 0)."""
+    nbr = diagnostics._neighbor_masks(g)
+    subsets = [s for r in range(g.n + 1) for s in itertools.combinations(range(g.n), r)]
+    independent = [
+        s for s in subsets if not any(nbr[u] >> v & 1 for u, v in itertools.combinations(s, 2))
+    ]
+    alpha = max(map(len, independent))
+    ind = min(s for s in independent if len(s) == alpha)
+
+    def available(v1):
+        blocked = 0
+        for v in v1:
+            blocked |= 1 << v | nbr[v]
+        return tuple(v for v in range(g.n) if not blocked >> v & 1)
+
+    scored = [(len(v1) * len(available(v1)), v1) for v1 in subsets if v1]
+    beta = max((score for score, _ in scored), default=0)
+    if beta == 0:
+        return (alpha, ind), (0, ((), ()))
+    v1 = min(v1 for score, v1 in scored if score == beta)
+    return (alpha, ind), (beta, (v1, available(v1)))
+
+
+def test_searches_and_closed_forms_return_lexicographically_smallest_optimum():
+    checked = closed_checked = 0
+    for graphs in (_tagged_graphs, _random_graphs, _edgeless_and_complete_graphs):
+        for g in (g for g in graphs() if g.n <= 10):
+            expected = lexicographic_optima(g)
+            where = (g.family, g.n, g.edges.tolist())
+            assert (max_independent_set(g), max_biclique_complement(g)) == expected, where
+            closed = diagnostics._closed_form_witnesses(g)
+            if closed is not None:
+                assert closed == expected, where
+                closed_checked += 1
+            checked += 1
+    assert (checked, closed_checked) == (188, 48)
+
+
 def test_examples():
     size, witness = max_independent_set(make_topology("star", 5))
     assert size == 4 and set(witness) == {1, 2, 3, 4}
@@ -202,9 +242,14 @@ def test_budget_errors():
         max_independent_set(make_graph(33, [(0, 1)]))
     with pytest.raises(SearchBudgetError):
         max_biclique_complement(make_graph(21, [(0, 1)]))
-    assert max_biclique_complement(make_topology("complete", 64), budget=100) == (0, ((), ()))
-    with pytest.raises(SearchBudgetError, match="budget is n <= 64, got n=65"):
-        max_biclique_complement(make_topology("complete", 65), budget=100)
+
+
+def test_search_limits_are_constants():
+    g = make_topology("complete", 8)
+    with pytest.raises(TypeError):
+        max_independent_set(g, budget=100)
+    with pytest.raises(TypeError):
+        max_biclique_complement(g, budget=100)
 
 
 CLOSED_FORMS = [

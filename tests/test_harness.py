@@ -73,7 +73,7 @@ def test_derive_seed_is_deterministic_and_spread():
 
 def test_run_trial_expectation_complete_is_exact():
     spec = small_spec(graph_family="complete", mode="expectation", n_values=(12,))
-    rec = run_trial(spec, 12, 0)
+    rec = run_trial(spec, 12, 0, harness.build_graph(spec, 12))
     assert rec.error is None
     assert rec.frob_err < 1e-12
     assert rec.kt_dist == 0
@@ -82,15 +82,16 @@ def test_run_trial_expectation_complete_is_exact():
 
 def test_run_trial_lambda_zero_expectation():
     spec = small_spec(lambda_star=0.0, mode="expectation", n_values=(8,))
-    rec = run_trial(spec, 8, 0)
+    rec = run_trial(spec, 8, 0, harness.build_graph(spec, 8))
     assert rec.frob_err == 0.0
     assert rec.lambda_hat == 0.0
 
 
 def test_run_trial_repeatable():
     spec = small_spec()
-    a = run_trial(spec, 16, 2)
-    b = run_trial(spec, 16, 2)
+    g = harness.build_graph(spec, 16)
+    a = run_trial(spec, 16, 2, g)
+    b = run_trial(spec, 16, 2, g)
     # identical except wall-clock runtime
     assert (a.frob_err, a.kt_dist, a.lambda_hat, a.seed) == (
         b.frob_err,
@@ -105,7 +106,8 @@ def test_run_trial_records_failures():
     # p small enough that some vertex is isolated: estimator precondition fails
     spec = small_spec(graph_family="erdos_renyi", n_values=(16,))
     spec = ExperimentSpec(**{**spec.__dict__, "edge_probability": 0.01})
-    recs = [run_trial(spec, 16, t) for t in range(5)]
+    g = harness.build_graph(spec, 16)
+    recs = [run_trial(spec, 16, t, g) for t in range(5)]
     failed = [r for r in recs if r.error is not None]
     assert failed, "expected at least one failed trial at p=0.01"
     assert all(r.frob_err is None for r in failed)
@@ -176,7 +178,7 @@ def test_ns_asp_trial_allocates_no_dense_matrix():
 def test_run_trial_records_nonconverged_projection(monkeypatch):
     monkeypatch.setattr(harness, "bap_estimate", functools.partial(bap_estimate, max_iter=1))
     spec = small_spec(graph_family="power_law", model="sst", estimator="bap", n_values=(64,))
-    rec = run_trial(spec, 64, 0)
+    rec = run_trial(spec, 64, 0, harness.build_graph(spec, 64))
     assert rec.frob_err is None
     assert rec.error == "RuntimeError: biso projection did not converge in 1 iterations (tol 1e-08)"
 
