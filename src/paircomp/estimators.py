@@ -34,6 +34,8 @@ __all__ = [
     "bap_estimate",
 ]
 
+BAP_TOL = 1e-8  # bap_estimate's projection tolerance
+
 
 # ---------------------------------------------------------------------------
 # ASP
@@ -316,13 +318,7 @@ def row_block_average(x: np.ndarray, c: BlockPartition) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bap_estimate(
-    s1: ObservationSample,
-    s2: ObservationSample,
-    g: Graph,
-    tol: float = 1e-8,
-    max_iter: int = 10000,
-) -> np.ndarray:
+def bap_estimate(s1: ObservationSample, s2: ObservationSample, g: Graph) -> np.ndarray:
     """Block-average-project estimate of an SST comparison matrix.
 
     Blocks come from the first sample: its rescaled row sums
@@ -331,8 +327,8 @@ def bap_estimate(
     The groups are score intervals, so the labels counted from the highest
     group follow the score ranking; the k x k block means of the second
     sample (the first again for single-sample BAP) over those labels go to
-    :func:`project_biso` with the group sizes.  Raises RuntimeError when
-    the projection stops at max_iter without converging.
+    :func:`project_biso` with the group sizes, at tolerance BAP_TOL.  Raises
+    RuntimeError when the projection stops without converging.
     """
     if g.degrees.min() == 0:
         raise ValueError("comparison graph must have no isolated vertices")
@@ -348,9 +344,10 @@ def bap_estimate(
     lab = k - 1 - partition.labels
 
     grid = _sample_block_means(s2, lab, k)
-    projected = project_biso(grid, tol=tol, max_iter=max_iter, sizes=np.bincount(lab, minlength=k))
+    projected = project_biso(grid, tol=BAP_TOL, sizes=np.bincount(lab, minlength=k))
     if not projected.converged:
         raise RuntimeError(
-            f"biso projection did not converge in {projected.iterations} iterations (tol {tol:g})"
+            f"biso projection did not converge in {projected.iterations} iterations"
+            f" (tol {BAP_TOL:g})"
         )
     return projected.matrix[lab[:, None], lab]

@@ -5,9 +5,9 @@ identity), samples observations under a random assignment, runs one
 estimator, and records error metrics.  Sweeps are reproducible: every
 trial's generator is seeded by a stated 64-bit mix of (master_seed, n,
 trial_index), records come back in (n, trial) order serially or in
-parallel, and the CSV serialization is byte-stable.  A sweep builds each
-size's graph once and hands it to every trial at that size; nothing is
-cached between sweeps.
+parallel, and the CSV serialization is byte-stable.  A sweep's unit of
+work is one run of consecutive trials at one size, and each run builds its
+own graph, serial or parallel; nothing is cached between sweeps.
 
 Wall-clock runtime is carried on each record but written to CSV only on
 request, so that re-runs of the same spec produce identical bytes.
@@ -19,7 +19,7 @@ import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import chain, product, repeat
 
 import numpy as np
 
@@ -193,17 +193,26 @@ def run_trial(spec: ExperimentSpec, n: int, trial_index: int, graph: Graph) -> T
     )
 
 
+def _run_trials(spec: ExperimentSpec, n: int, trials: range) -> list[TrialRecord]:
+    """One unit of sweep work: build the size-n graph, then run these trials on it."""
+    graph = build_graph(spec, n)
+    return [run_trial(spec, n, t, graph) for t in trials]
+
+
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[TrialRecord]:
-    """All (n, trial) combinations in (n, trial_index) order; each size's
-    graph is built once and passed to all of that size's trials."""
+    """All (n, trial) combinations in (n, trial_index) order.  Each size's
+    trials are cut into runs of ceil(trials / workers), one task each; a run
+    builds its own graph, so no graph crosses a process boundary."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    ns, ts = zip(*product(spec.n_values, range(spec.trials)))
-    gs = (g for n in spec.n_values for g in repeat(build_graph(spec, n), spec.trials))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_trial, repeat(spec), ns, ts, gs, chunksize=4))
-    return list(map(run_trial, repeat(spec), ns, ts, gs))
+    step = -(-spec.trials // workers)  # ceil(trials / workers)
+    trials = range(spec.trials)
+    size_runs = [trials[i : i + step] for i in trials[::step]]
+    ns, runs = zip(*product(spec.n_values, size_runs))
+    if workers == 1:
+        return list(chain.from_iterable(map(_run_trials, repeat(spec), ns, runs)))
+    with ProcessPoolExecutor(max_workers=min(workers, len(runs))) as pool:
+        return list(chain.from_iterable(pool.map(_run_trials, repeat(spec), ns, runs)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from paircomp import (
     sample_sst_bands,
     assign_random,
 )
+from paircomp import estimators
 from oracles import biso_projection_by_nnls, weighted_grid_projection_by_bvls
 
 
@@ -634,16 +636,21 @@ def test_bap_beats_trivial_guess_on_average():
     assert np.mean(errs) < 0.5 * np.mean(trivial)
 
 
-def test_bap_raises_when_projection_does_not_converge():
+def test_bap_raises_when_projection_does_not_converge(monkeypatch):
     n = 64  # this draw needs 2 Dykstra sweeps
     g = make_topology("power_law", n)
     rng = np.random.default_rng(20)
     m = sample_sst_bands(n, rng)
     s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
     s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-    with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
-        bap_estimate(s1, s2, g, max_iter=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "project_biso", functools.partial(project_biso, max_iter=1))
+        with pytest.raises(RuntimeError, match=r"did not converge in 1 iterations \(tol 1e-08\)"):
+            bap_estimate(s1, s2, g)
     assert bap_estimate(s1, s2, g).shape == (n, n)
+    for setting in ("tol", "max_iter"):  # the tolerance is the constant BAP_TOL
+        with pytest.raises(TypeError):
+            bap_estimate(s1, s2, g, **{setting: 1})
 
 
 def test_bap_deterministic_given_seeds():

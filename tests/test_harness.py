@@ -9,6 +9,7 @@ from paircomp import (
     CSV_HEADER,
     GRAPH_FAMILIES,
     ExperimentSpec,
+    Graph,
     TrialRecord,
     asp_estimate,
     assign_random,
@@ -23,6 +24,7 @@ from paircomp import (
     mean_errors,
     observe,
     parse_config,
+    project_biso,
     records_from_csv,
     records_to_csv,
     run_sweep,
@@ -30,7 +32,7 @@ from paircomp import (
     sample_sst_bands,
     summarize,
 )
-from paircomp import harness
+from paircomp import estimators, harness
 from paircomp.cli import main as cli_main
 
 
@@ -176,7 +178,7 @@ def test_ns_asp_trial_allocates_no_dense_matrix():
 
 
 def test_run_trial_records_nonconverged_projection(monkeypatch):
-    monkeypatch.setattr(harness, "bap_estimate", functools.partial(bap_estimate, max_iter=1))
+    monkeypatch.setattr(estimators, "project_biso", functools.partial(project_biso, max_iter=1))
     spec = small_spec(graph_family="power_law", model="sst", estimator="bap", n_values=(64,))
     rec = run_trial(spec, 64, 0, harness.build_graph(spec, 64))
     assert rec.frob_err is None
@@ -213,11 +215,55 @@ def test_sweep_builds_each_graph_once_per_sweep(monkeypatch):
 
 
 def test_sweep_rerun_and_parallel_byte_identical():
-    spec = small_spec(trials=4)
-    serial_1 = records_to_csv(run_sweep(spec, workers=1))
-    serial_2 = records_to_csv(run_sweep(spec, workers=1))
+    # 5 trials cut unevenly into runs of 3 + 2 (2 workers) and 2 + 2 + 1 (3 workers)
+    cells = [("ns", "asp"), ("sst", "bap"), ("ns", "bap1")]
+    for family, (model, estimator) in zip(GRAPH_FAMILIES, cells * 3):
+        spec = small_spec(
+            graph_family=family,
+            model=model,
+            estimator=estimator,
+            trials=5,
+            bipartite_alpha=0.5,
+            edge_probability=0.5,
+        )
+        serial = records_to_csv(run_sweep(spec, workers=1))
+        assert records_to_csv(run_sweep(spec, workers=1)) == serial, family
+        for workers in (2, 3):
+            assert records_to_csv(run_sweep(spec, workers=workers)) == serial, (family, workers)
+
+
+def test_parallel_sweep_pickles_no_graph(monkeypatch):
+    def refuse(self, protocol):
+        raise AssertionError("a Graph was pickled")
+
+    monkeypatch.setattr(Graph, "__reduce_ex__", refuse)
+    spec = small_spec(trials=3)
     parallel = records_to_csv(run_sweep(spec, workers=2))
-    assert serial_1 == serial_2 == parallel
+    assert parallel == records_to_csv(run_sweep(spec, workers=1))
+
+
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    started = []
+
+    class InlineExecutor:  # records max_workers and runs map in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    cases = [((8,), 1, 5000, 1), ((8, 16), 3, 2, 2), ((8, 16), 3, 5, 5), ((8, 16), 3, 10, 6)]
+    for n_values, trials, workers, expected in cases:
+        spec = small_spec(n_values=n_values, trials=trials)
+        inline = records_to_csv(run_sweep(spec, workers=workers))
+        assert inline == records_to_csv(run_sweep(spec)), (n_values, trials, workers)
+        assert started.pop() == expected, (n_values, trials, workers)
 
 
 def test_bap_trial_smoke():
@@ -505,6 +551,14 @@ def test_cli_stdout_csv(capsys):
             "cannot write NODIR: No such file or directory",
         ),
         (["simulate", "--graph", "path", "--n", "8", "--workers", "0"], "workers must be >= 1"),
+        (
+            ["simulate", "--graph", "regular_bipartite", "--n", "8", "--workers", "2"],
+            "regular_bipartite requires alpha in (0, 1]",
+        ),
+        (
+            ["simulate", "--graph", "two_cliques", "--n-list", "7", "--workers", "2"],
+            "two_cliques requires an even n >= 4, got n=7",
+        ),
     ],
     ids=[
         "config-trials-abc",
@@ -518,6 +572,8 @@ def test_cli_stdout_csv(capsys):
         "simulate-out-unwritable",
         "diagnose-out-unwritable",
         "workers-0",
+        "regular-bipartite-no-alpha-workers-2",
+        "two-cliques-odd-n-workers-2",
     ],
 )
 def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
