@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression as _scipy_isotonic
 
 from .graphs import Graph
 from .models import check_permutation, inverse_permutation, make_noisy_sorting
@@ -100,14 +99,15 @@ def asp_estimate(s: ObservationSample) -> AspResult:
 
 
 def pav_isotonic(values, weights=None, direction: str = "nondecreasing") -> np.ndarray:
-    """Weighted least-squares projection onto the monotone cone (PAV); scipy
-    raises ValueError unless weights has one positive entry per value."""
+    """Weighted least-squares projection onto the monotone cone (PAV) by scipy, imported
+    on the first call; scipy raises ValueError unless weights has one positive entry per value."""
+    from scipy.optimize import isotonic_regression  # here, not at import: only projections need scipy
     y = np.asarray(values, dtype=np.float64)
     if y.ndim != 1:  # scipy would take a 0-d scalar
         raise ValueError("values must be one-dimensional")
     if direction not in ("nondecreasing", "nonincreasing"):
         raise ValueError(f"unknown direction {direction!r}")
-    return _scipy_isotonic(y, weights=weights, increasing=direction == "nondecreasing").x
+    return isotonic_regression(y, weights=weights, increasing=direction == "nondecreasing").x
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,16 @@ class BisoProjection:
     iterations: int
 
 
-def _pav_chains(z: np.ndarray, w: np.ndarray, chain: np.ndarray, increasing: bool) -> np.ndarray:
+def _pav_chains(z: np.ndarray, w: np.ndarray, chain: np.ndarray, direction: str) -> np.ndarray:
     """Weighted PAV of every chain of z at once, chains laid end to end.
 
-    Chain k is shifted by k * (ptp(z) + 1), up for increasing fits and down
-    for decreasing ones, so consecutive chains never violate the order
-    between them and PAV never pools across a chain boundary.
+    Chain k is shifted by k * (ptp(z) + 1), up for nondecreasing fits and
+    down for nonincreasing ones, so consecutive chains never violate the
+    order between them and PAV never pools across a chain boundary.
     """
     span = z.max(initial=0.0) - z.min(initial=0.0) + 1.0
-    offset = chain * (span if increasing else -span)
-    return _scipy_isotonic(z + offset, weights=w, increasing=increasing).x - offset
+    offset = chain * (span if direction == "nondecreasing" else -span)
+    return pav_isotonic(z + offset, w, direction) - offset
 
 
 def project_biso(
@@ -157,12 +157,13 @@ def project_biso(
     One clip suffices: bounded isotonic regression is the unbounded fit
     clipped to the bounds.  The unbounded fit is Dykstra over the row and
     column cones, one correction array each, and each half-step is one
-    batched PAV call (:func:`_pav_chains`) whose chain offsets round the
-    fit by about g * ulp(ptp + 1), far below tol.  Stops when a sweep moves
-    the expanded matrix less than tol in Frobenius norm and the row and
-    column monotonicity residuals are at most tol/2, so the expanded output
-    passes ``is_biso(matrix, tol)``; at max_iter the last iterate is
-    returned with converged=False.  iterations counts sweeps.
+    batched PAV call (:func:`_pav_chains`, which imports scipy on first use)
+    whose chain offsets round the fit by about g * ulp(ptp + 1), far below
+    tol.  Stops when a sweep moves the expanded matrix less than tol in
+    Frobenius norm and the row and column monotonicity residuals are at most
+    tol/2, so the expanded output passes ``is_biso(matrix, tol)``; at
+    max_iter the last iterate is returned with converged=False.  iterations
+    counts sweeps.
     """
     x0 = np.asarray(x, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != x0.shape[1]:
@@ -189,11 +190,11 @@ def project_biso(
     while not converged and it < max_iter:
         it += 1
         z = u + p
-        y = _pav_chains(z, w, a, increasing=True)
+        y = _pav_chains(z, w, a, "nondecreasing")
         p = z - y
         z = y + q
         u_new = np.empty_like(u)
-        u_new[by_col] = _pav_chains(z[by_col], w[by_col], b[by_col], increasing=False)
+        u_new[by_col] = _pav_chains(z[by_col], w[by_col], b[by_col], "nonincreasing")
         q = z - u_new
         move = np.sqrt(2.0 * np.sum(w * (u_new - u) ** 2))
         u = u_new

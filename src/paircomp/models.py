@@ -265,7 +265,8 @@ def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     d = a - b
-    return float((d * d).sum() / a.shape[0] ** 2)
+    d *= d  # in place: one n x n temporary
+    return float(d.sum() / a.shape[0] ** 2)
 
 
 def noisy_sorting_error(n: int, kt: int, lam_a: float, lam_b: float) -> float:
@@ -297,7 +298,9 @@ def check_comparison_matrix(m: np.ndarray) -> None:
         raise ValueError("entries must lie in [0, 1]")
     if np.abs(np.diagonal(m) - 0.5).max(initial=0.0) > SKEW_TOL:
         raise ValueError("diagonal entries must equal 1/2")
-    if np.abs(m + m.T - 1.0).max(initial=0.0) > SKEW_TOL:
+    t = m + m.T  # one n x n temporary, updated in place
+    t -= 1.0
+    if np.abs(t, out=t).max(initial=0.0) > SKEW_TOL:
         raise ValueError("skew constraint M + M^T = ee^T violated")
 
 

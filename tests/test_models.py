@@ -7,6 +7,7 @@ import pytest
 
 from paircomp import (
     NoisySorting,
+    check_comparison_matrix,
     check_permutation,
     frobenius_error,
     identity_permutation,
@@ -27,6 +28,7 @@ from paircomp import (
     scores,
     table_to_permutation,
 )
+from paircomp.models import SKEW_TOL
 
 
 def kt_bruteforce(p, q):
@@ -386,6 +388,48 @@ def test_frobenius_error_examples():
     assert frobenius_error(m, m2) == frobenius_error(m2, m)
     with pytest.raises(ValueError):
         frobenius_error(m, np.zeros((4, 4)))
+
+
+def _traced_peak(f, *args):
+    """What f(*args) returns or raises (ValueError), and the call's tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            result = f(*args)
+        except ValueError as exc:
+            result = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_frobenius_error_holds_one_matrix_and_matches_the_two_temporary_form():
+    n = 512
+    a = sample_sst_bands(n, np.random.default_rng(31))
+    b = sample_sst_bands(n, np.random.default_rng(32))
+    err, peak = _traced_peak(frobenius_error, a, b)
+    assert peak <= 1.1 * 8 * n * n
+    d = a - b
+    assert err == float((d * d).sum() / n**2)
+
+
+def test_skew_check_holds_one_matrix_and_matches_the_two_temporary_form():
+    n = 512
+    m = sample_sst_bands(n, np.random.default_rng(33))
+    outcomes = set()
+    for delta in (0.0, 0.5 * SKEW_TOL, SKEW_TOL, 2 * SKEW_TOL, 1e-3):
+        broken = m.copy()
+        broken[3, 200] -= delta  # an upper entry, so it stays in [1/2, 1]
+        result, peak = _traced_peak(check_comparison_matrix, broken)
+        assert peak <= 1.1 * 8 * n * n, delta
+        violated = bool(np.abs(broken + broken.T - 1.0).max(initial=0.0) > SKEW_TOL)
+        if violated:
+            assert str(result) == "skew constraint M + M^T = ee^T violated", delta
+        else:
+            assert result is None, delta
+        outcomes.add(violated)
+    assert outcomes == {False, True}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import contextlib
 import importlib
 import inspect
+import io
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import paircomp
+from paircomp.cli import main
 
 # the CLI module is the console entry point, not part of the library API
 LIBRARY_MODULES = sorted(
@@ -22,3 +30,72 @@ def test_package_reexports_exactly_each_module_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(paircomp, name) is getattr(module, name), (module.__name__, name)
+
+
+# Runs in a fresh interpreter: checks that importing the CLI leaves scipy
+# unloaded, then runs the CLI calls listed as JSON in argv[1] with every
+# scipy import refused, prints one JSON line [exit code, stdout, stderr] per
+# call, and last whether one projection then loads scipy.optimize.
+COLD_START = r"""
+import contextlib, importlib.abc, io, json, sys
+
+import numpy as np
+import paircomp.cli
+
+assert "scipy" not in sys.modules, "import paircomp.cli loaded scipy"
+
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, RefuseScipy())
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = paircomp.cli.main(argv)
+    print(json.dumps([code, out.getvalue(), err.getvalue()]))
+sys.meta_path.pop(0)
+paircomp.project_biso(np.array([[0.5, 0.2], [0.8, 0.5]]))
+print(json.dumps("scipy.optimize" in sys.modules))
+"""
+
+
+def _cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_scipy_loads_on_the_first_projection_only(tmp_path):
+    ns_asp = ["simulate", "--graph", "two_cliques", "--model", "ns", "--estimator", "asp",
+              "--n-list", "16,32,64", "--trials", "3", "--seed", "5"]
+    csv_path = tmp_path / "ns_asp.csv"
+    assert _cli([*ns_asp, "--out", str(csv_path)])[0] == 0
+    calls = [
+        ["diagnose", "--graph", "clique_plus_path", "--n", "14", "--json"],  # exact α and β searches
+        ns_asp,
+        ["slope", "--input", str(csv_path)],
+    ]
+    bap = ["simulate", "--graph", "power_law", "--model", "sst", "--estimator", "bap",
+           "--n-list", "8", "--trials", "1", "--seed", "5"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps([*calls, bap])],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    *blocked, loaded = [json.loads(line) for line in child.stdout.splitlines()]
+    for argv, (code, out, _) in zip(calls, blocked):
+        assert (code, out) == _cli(argv)[:2], argv
+        assert code == 0, argv
+    # without scipy, a BAP trial fails and keeps the reason; nothing is swallowed
+    code, _, err = blocked[-1]
+    assert code == 1
+    assert "ModuleNotFoundError: No module named 'scipy" in err
+    assert loaded is True
