@@ -160,6 +160,15 @@ def test_pav_block_mean_semantics_and_idempotence():
             assert fit[lo] == pytest.approx(np.average(y[seg], weights=w[seg]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pav_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="values and weights must be finite"):
+        pav_isotonic([1.0, bad, 0.5])
+    for direction in ("nondecreasing", "nonincreasing"):
+        with pytest.raises(ValueError, match="values and weights must be finite"):
+            pav_isotonic([2.0, 1.0], weights=[1.0, bad], direction=direction)
+
+
 # ---------------------------------------------------------------------------
 # project_biso
 # ---------------------------------------------------------------------------
@@ -379,6 +388,14 @@ def test_project_rejects_bad_sizes():
     for sizes in ([1, 2], [1, 2, 3, 4], [1, 0, 2], [1, -1, 2], [1.0, 2.0, 3.0], [1, 2.5, 1]):
         with pytest.raises(ValueError, match="sizes must be 3 positive integers"):
             project_biso(x, sizes=np.array(sizes))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_rejects_non_finite_input(bad):
+    x = np.full((3, 3), 0.5)
+    x[0, 2] = bad
+    with pytest.raises(ValueError, match="x must be finite"):
+        project_biso(x)
 
 
 # ---------------------------------------------------------------------------
