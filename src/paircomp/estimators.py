@@ -151,9 +151,7 @@ def pav_isotonic(values, weights=None, direction: str = "nondecreasing") -> np.n
             b += 1
         x[b], wx[b], r[b + 1] = xb, wb, i + 1
         i += 1
-    for k in range(b, -1, -1):  # expand, last block first: r[k] >= k
-        x[r[k] : r[k + 1]] = [x[k]] * (r[k + 1] - r[k])
-    return np.array(x)[::step]
+    return np.repeat(x[: b + 1], np.diff(r[: b + 2]))[::step]
 
 
 @dataclass(frozen=True)
