@@ -13,9 +13,6 @@ from .diagnostics import minimax_lower_bound, report_to_json, report_to_text
 from .graphs import make_topology
 from .harness import (
     _CONFIG_KEYS,
-    _ESTIMATORS,
-    _MODELS,
-    _MODES,
     ExperimentSpec,
     _spec_from_values,
     fit_slope,
@@ -29,21 +26,17 @@ from .harness import (
 __all__ = ["main"]
 
 
-def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    # values stay text: _spec_from_values converts them and ExperimentSpec
-    # supplies the defaults, exactly as for a config file
-    p.add_argument("--graph", required=True, help="graph family")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="single problem size")
-    group.add_argument("--n-list", help="comma-separated sizes, e.g. 64,128,256")
-    p.add_argument("--model", choices=_MODELS)
-    p.add_argument("--lambda", metavar="LAMBDA_STAR")
-    p.add_argument("--estimator", choices=_ESTIMATORS)
-    p.add_argument("--trials")
-    p.add_argument("--seed")
-    p.add_argument("--mode", choices=_MODES)
-    p.add_argument("--alpha", help="bipartite exponent")
-    p.add_argument("--p", help="Erdos-Renyi edge probability")
+def _add_spec_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One text flag per config key (--n-list pairs with --n, its one-size
+    spelling): _spec_from_args converts and ExperimentSpec checks them, as
+    for a config file."""
+    for key in keys:
+        target = p
+        if key == "n_list":
+            target = p.add_mutually_exclusive_group(required=True)
+            target.add_argument("--n", help="single problem size")
+        flag = "--" + key.replace("_", "-")
+        target.add_argument(flag, dest=key, required=key == "graph", help=_CONFIG_KEYS[key][2])
 
 
 def _read_input(path: str) -> str:
@@ -72,19 +65,21 @@ def _error(exc: ValueError) -> int:
     return 2
 
 
-def _simulate_spec(args: argparse.Namespace) -> ExperimentSpec:
-    flags = dict(vars(args), n_list=args.n_list if args.n is None else str(args.n))
-    return _spec_from_values((k, flags[k]) for k in _CONFIG_KEYS if flags[k] is not None)
+def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    """The spec the flags name; --n is the one-size spelling of --n-list."""
+    values = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    if args.n is not None:
+        values["n_list"] = args.n
+    spec = _spec_from_values((k, v) for k, v in values.items() if v is not None)
+    if args.n is not None and len(spec.n_values) > 1:
+        raise ValueError(f"n must be one size, got {args.n!r}")
+    return spec
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
+    try:  # a bad spec runs nothing and writes nothing
         records = run_sweep(args.spec(args), workers=args.workers)
-    except ValueError as exc:  # a bad spec: nothing ran, nothing is written
-        return _error(exc)
-    csv_text = records_to_csv(records, include_runtime=args.timings)
-    try:
-        _write_output(csv_text, args.out)
+        _write_output(records_to_csv(records, include_runtime=args.timings), args.out)
     except ValueError as exc:
         return _error(exc)
     sys.stderr.write(summarize(records))
@@ -106,13 +101,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed) if args.graph == "erdos_renyi" else None
-    g = make_topology(args.graph, args.n, alpha=args.alpha, p=args.p, rng=rng)
+    try:  # bad flags or topology; a graph the report cannot take still raises
+        s = _spec_from_args(args)
+        rng = np.random.default_rng(s.master_seed) if s.graph_family == "erdos_renyi" else None
+        g = make_topology(
+            s.graph_family, s.n_values[0], alpha=s.bipartite_alpha, p=s.edge_probability, rng=rng
+        )
+    except ValueError as exc:
+        return _error(exc)
     report = minimax_lower_bound(g)
     text = report_to_json(report) + "\n" if args.json else report_to_text(report)
     try:
         _write_output(text, args.out)
-    except ValueError as exc:  # only the write: a bad graph still raises
+    except ValueError as exc:
         return _error(exc)
     return 0
 
@@ -156,8 +157,8 @@ def _parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser(
         "simulate", parents=[run_flags], help="run a sweep specified inline by flags"
     )
-    _add_spec_flags(p_sim)
-    p_sim.set_defaults(func=_cmd_sweep, spec=_simulate_spec)
+    _add_spec_flags(p_sim, _CONFIG_KEYS)
+    p_sim.set_defaults(func=_cmd_sweep, spec=_spec_from_args)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[run_flags], help="run a sweep from a key = value config file"
@@ -166,11 +167,9 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep, spec=lambda a: parse_config(_read_input(a.config)))
 
     p_diag = sub.add_parser("diagnose", help="worst-case diagnostics for a topology")
-    p_diag.add_argument("--graph", required=True)
-    p_diag.add_argument("--n", type=int, required=True)
-    p_diag.add_argument("--alpha", type=float, default=None)
-    p_diag.add_argument("--p", type=float, default=None)
-    p_diag.add_argument("--seed", type=int, default=0)
+    _add_spec_flags(p_diag, ("graph",))
+    p_diag.add_argument("--n", required=True, help="single problem size")
+    _add_spec_flags(p_diag, ("alpha", "p", "seed"))
     p_diag.add_argument("--json", action="store_true")
     p_diag.add_argument("--out")
     p_diag.set_defaults(func=_cmd_diagnose)

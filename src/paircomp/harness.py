@@ -339,17 +339,18 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
+# config key, also a CLI flag -> (ExperimentSpec field, text -> value, flag help)
 _CONFIG_KEYS = {
-    "graph": ("graph_family", str),
-    "n_list": ("n_values", _int_tuple),
-    "model": ("model", str),
-    "lambda": ("lambda_star", float),
-    "estimator": ("estimator", str),
-    "trials": ("trials", int),
-    "seed": ("master_seed", int),
-    "mode": ("mode", str),
-    "alpha": ("bipartite_alpha", float),
-    "p": ("edge_probability", float),
+    "graph": ("graph_family", str, "graph family"),
+    "n_list": ("n_values", _int_tuple, "comma-separated sizes, e.g. 64,128,256"),
+    "model": ("model", str, f"ground-truth model: {', '.join(_MODELS)}"),
+    "lambda": ("lambda_star", float, "noise gap lambda_star of the NS model"),
+    "estimator": ("estimator", str, f"estimator: {', '.join(_ESTIMATORS)}"),
+    "trials": ("trials", int, "trials per size"),
+    "seed": ("master_seed", int, "random seed"),
+    "mode": ("mode", str, f"observation mode: {', '.join(_MODES)}"),
+    "alpha": ("bipartite_alpha", float, "bipartite exponent"),
+    "p": ("edge_probability", float, "Erdos-Renyi edge probability"),
 }
 
 
@@ -358,7 +359,7 @@ def _spec_from_values(items) -> ExperimentSpec:
     defaults.  Config files and CLI flags both go through here."""
     kwargs: dict = {}
     for key, value in items:
-        field, convert = _CONFIG_KEYS[key]
+        field, convert, _ = _CONFIG_KEYS[key]
         try:
             kwargs[field] = convert(value)
         except ValueError as exc:

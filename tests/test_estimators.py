@@ -169,6 +169,20 @@ def test_pav_rejects_non_finite_input(bad):
             pav_isotonic([2.0, 1.0], weights=[1.0, bad], direction=direction)
 
 
+def test_pav_chains_never_decrease_inside_a_chain():
+    # project_biso tests only the rows for monotonicity: a chain's fit is a
+    # monotone PAV fit minus one offset, and rounding keeps that order exactly
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        lengths = rng.integers(1, 12, int(rng.integers(1, 8)))
+        chain = np.repeat(np.arange(len(lengths)) - int(rng.integers(0, 20)), lengths)
+        z = rng.normal(size=len(chain)) * 10.0 ** int(rng.integers(-9, 7))
+        z[rng.random(len(z)) < 0.3] = 0.5  # ties
+        w = rng.integers(1, 50, len(z)).astype(np.float64)
+        out = estimators._pav_chains(z, w, chain)
+        assert np.all(np.diff(out)[chain[1:] == chain[:-1]] >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # project_biso
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -402,6 +403,29 @@ def test_parse_config():
         parse_config("graph = path")  # n_list missing
 
 
+def test_simulate_flags_give_the_config_spec():
+    from paircomp import cli
+
+    argv = ["simulate", "--graph", "regular_bipartite", "--n-list", "64,128,256"]
+    argv += ["--model", "sst", "--lambda", "0.25", "--estimator", "bap1", "--trials", "10"]
+    argv += ["--seed", "7", "--mode", "expectation", "--alpha", "0.5", "--p", "0.3"]
+    args = cli._parser().parse_args(argv)
+    assert args.spec(args) == ExperimentSpec(
+        graph_family="regular_bipartite",
+        n_values=(64, 128, 256),
+        model="sst",
+        lambda_star=0.25,
+        estimator="bap1",
+        trials=10,
+        master_seed=7,
+        mode="expectation",
+        bipartite_alpha=0.5,
+        edge_probability=0.3,
+    )
+    args = cli._parser().parse_args(["simulate", "--graph", "path", "--n", "8"])
+    assert args.spec(args) == ExperimentSpec(graph_family="path", n_values=(8,))
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -559,6 +583,22 @@ def test_cli_stdout_csv(capsys):
             ["simulate", "--graph", "two_cliques", "--n-list", "7", "--workers", "2"],
             "two_cliques requires an even n >= 4, got n=7",
         ),
+        (["simulate", "--graph", "path", "--n", "8", "--model", "bad"], "model must be one of"),
+        (
+            ["simulate", "--graph", "path", "--n", "abc"],
+            "n_list: invalid literal for int() with base 10: 'abc'",
+        ),
+        (["simulate", "--graph", "path", "--n", "8,16"], "n must be one size, got '8,16'"),
+        (["diagnose", "--graph", "nosuch", "--n", "8"], "graph_family must be one of"),
+        (
+            ["diagnose", "--graph", "regular_bipartite", "--n", "8"],
+            "regular_bipartite requires alpha in (0, 1]",
+        ),
+        (
+            ["diagnose", "--graph", "star", "--n", "8", "--alpha", "x"],
+            "alpha: could not convert string to float: 'x'",
+        ),
+        (["diagnose", "--graph", "path", "--n", "8,16"], "n must be one size, got '8,16'"),
     ],
     ids=[
         "config-trials-abc",
@@ -574,6 +614,13 @@ def test_cli_stdout_csv(capsys):
         "workers-0",
         "regular-bipartite-no-alpha-workers-2",
         "two-cliques-odd-n-workers-2",
+        "simulate-model-bad",
+        "simulate-n-abc",
+        "simulate-n-two-sizes",
+        "diagnose-unknown-graph",
+        "diagnose-regular-bipartite-no-alpha",
+        "diagnose-alpha-x",
+        "diagnose-n-two-sizes",
     ],
 )
 def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
@@ -589,6 +636,15 @@ def test_cli_bad_spec_exits_2(tmp_path, capsys, argv, reason):
     assert captured.out == ""
     assert captured.err.startswith(f"paircomp: error: {reason}")
     assert captured.err.count("\n") == 1
+
+
+def test_simulate_help_lists_allowed_values(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for value in ("ns", "sst", "bap1", "expectation"):
+        assert re.search(rf"\b{value}\b", out), value
 
 
 def test_cli_parser_reused_across_calls(capsys):
