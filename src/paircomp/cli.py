@@ -90,7 +90,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fits = {}
     for key, fit in fits.items():
         name = "/".join(str(k) for k in key)
-        if fit.status == "exact":
+        if fit.slope is None:
             sys.stderr.write(f"slope[{name}]: exact (zero mean error)\n")
         else:
             sys.stderr.write(
@@ -130,7 +130,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
         return 1
     for key, fit in fits.items():
         name = "/".join(str(k) for k in key)
-        if fit.status == "exact":
+        if fit.slope is None:
             print(f"{name}: exact (zero mean error)")
         else:
             print(

@@ -9,8 +9,8 @@ the exact searches, which hold to n <= 32 for alpha and n <= 20 for beta and
 raise SearchBudgetError past that: a recursive branch and bound over Python
 bitmasks for alpha, and for beta a branch and bound that goes level by level,
 one vertex per level, over numpy arrays of bitmasks.
-The module also constructs the adversarial matrix pairs that certify the
-bound: two noisy-sorting matrices that agree on every observed edge yet
+The module also constructs the adversarial model pairs that certify the
+bound: two noisy-sorting models that agree on every observed edge yet
 differ by a known Frobenius separation.
 
 Witness rule: max_independent_set, max_biclique_complement and the closed
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, degree_functional
-from .models import identity_permutation, make_noisy_sorting
+from .models import NoisySorting, identity_permutation
 
 __all__ = [
     "SearchBudgetError",
@@ -159,17 +159,15 @@ def _closed_form_witnesses(g: Graph):
 
 @dataclass(frozen=True)
 class AdversarialPair:
-    """Two noisy-sorting matrices indistinguishable on the graph edges.
+    """Two noisy-sorting models indistinguishable on the graph edges.
 
     m1 and m2 agree entrywise on every edge; their full-matrix separation
-    is ||m1 - m2||_F^2 = 8 lam^2 KT(pi1, pi2).
+    is ||M(m1) - M(m2)||_F^2 = 8 lam^2 KT(m1.ranks, m2.ranks), with
+    M = make_noisy_sorting and lam = m1.lam = m2.lam.
     """
 
-    m1: np.ndarray
-    m2: np.ndarray
-    pi1: np.ndarray
-    pi2: np.ndarray
-    lam: float
+    m1: NoisySorting
+    m2: NoisySorting
     mode: str
     witness: tuple
 
@@ -177,10 +175,10 @@ class AdversarialPair:
 def adversarial_pair(g: Graph, mode: str) -> AdversarialPair:
     """Construct the certificate pair for one of the two lower-bound terms.
 
-    A list of blocks takes the top ranks, in order under pi1 and in reverse
-    order under pi2: the witness items as singletons in independent_set
+    A list of blocks takes the top ranks, in order under m1 and in reverse
+    order under m2: the witness items as singletons in independent_set
     mode, [V1, V2] in biclique mode.  All other items keep identical ranks,
-    so the two matrices agree on every graph edge.  The noise gap is
+    so the two models agree on every graph edge.  The noise gap is
     ADVERSARIAL_LAMBDA, the value the diagnostics report states.
     """
     if mode not in ("independent_set", "biclique"):
@@ -203,11 +201,8 @@ def adversarial_pair(g: Graph, mode: str) -> AdversarialPair:
     pi2 = identity_permutation(g.n)
     pi1[top1 + rest] = pi2[top2 + rest] = np.arange(g.n)
     return AdversarialPair(
-        m1=make_noisy_sorting(pi1, ADVERSARIAL_LAMBDA),
-        m2=make_noisy_sorting(pi2, ADVERSARIAL_LAMBDA),
-        pi1=pi1,
-        pi2=pi2,
-        lam=ADVERSARIAL_LAMBDA,
+        m1=NoisySorting(pi1, ADVERSARIAL_LAMBDA),
+        m2=NoisySorting(pi2, ADVERSARIAL_LAMBDA),
         mode=mode,
         witness=witness,
     )

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .models import check_permutation, inverse_permutation, make_noisy_sorting
+from .models import NoisySorting, check_permutation, inverse_permutation
 from .observation import ObservationSample, empirical_scores
 
 __all__ = [
-    "AspResult",
     "asp_sort",
     "inversion_set",
     "asp_lambda_mle",
@@ -39,19 +38,6 @@ BAP_TOL = 1e-8  # bap_estimate's projection tolerance
 # ---------------------------------------------------------------------------
 # ASP
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AspResult:
-    """pi_hat ranks, lambda_hat in [0, 1/2], and m_hat = M_NS(pi_hat, lambda_hat)."""
-
-    pi_hat: np.ndarray
-    lambda_hat: float
-
-    @property
-    def m_hat(self) -> np.ndarray:
-        """The dense n x n estimate, built on each access."""
-        return make_noisy_sorting(self.pi_hat, self.lambda_hat)
 
 
 def asp_sort(tau_hat) -> np.ndarray:
@@ -85,12 +71,10 @@ def asp_lambda_mle(s: ObservationSample, pi) -> float:
     return min(max(lam, 0.0), 0.5)
 
 
-def asp_estimate(s: ObservationSample) -> AspResult:
+def asp_estimate(s: ObservationSample) -> NoisySorting:
     """Average, sort, then project: output M_NS(pi_hat, lambda_hat)."""
-    tau_hat = empirical_scores(s)
-    pi_hat = asp_sort(tau_hat)
-    lam_hat = asp_lambda_mle(s, pi_hat)
-    return AspResult(pi_hat=pi_hat, lambda_hat=lam_hat)
+    pi_hat = asp_sort(empirical_scores(s))
+    return NoisySorting(pi_hat, asp_lambda_mle(s, pi_hat))
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +82,7 @@ def asp_estimate(s: ObservationSample) -> AspResult:
 # ---------------------------------------------------------------------------
 
 
-def pav_isotonic(values, weights=None, direction: str = "nondecreasing") -> np.ndarray:
+def pav_isotonic(values, weights=None) -> np.ndarray:
     """Weighted least-squares projection onto the monotone cone (PAV).
 
     Algorithm 1 of Busing (2022), "Monotone Regression: A Simple and Fast
@@ -107,15 +91,13 @@ def pav_isotonic(values, weights=None, direction: str = "nondecreasing") -> np.n
     it: blocks pool on >=, a pooled block's sum starts from the stored means
     times weights, and it absorbs forward, then backward.  The floating-point
     operations come in scipy's order, so every fit equals scipy's bit for
-    bit.  Nonincreasing fits reverse the input and the output.  Raises
-    ValueError unless values are 1-D and finite and weights (default all
-    ones) has one finite positive entry per value.
+    bit.  A nonincreasing fit is pav_isotonic(y[::-1], w[::-1])[::-1].
+    Raises ValueError unless values are 1-D and finite and weights (default
+    all ones) has one finite positive entry per value.
     """
     y = np.asarray(values, dtype=np.float64)
     if y.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    if direction not in ("nondecreasing", "nonincreasing"):
-        raise ValueError(f"unknown direction {direction!r}")
     w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != y.shape:
         raise ValueError(f"weights must have shape {y.shape}, got {w.shape}")
@@ -123,8 +105,7 @@ def pav_isotonic(values, weights=None, direction: str = "nondecreasing") -> np.n
         raise ValueError("values and weights must be finite")
     if np.any(w <= 0):
         raise ValueError("weights must be positive")
-    step = 1 if direction == "nondecreasing" else -1
-    x, wx = y[::step].tolist(), w[::step].tolist()
+    x, wx = y.tolist(), w.tolist()
     n = len(x)
     if n == 0:
         return y.copy()
@@ -151,7 +132,7 @@ def pav_isotonic(values, weights=None, direction: str = "nondecreasing") -> np.n
             b += 1
         x[b], wx[b], r[b + 1] = xb, wb, i + 1
         i += 1
-    return np.repeat(x[: b + 1], np.diff(r[: b + 2]))[::step]
+    return np.repeat(x[: b + 1], np.diff(r[: b + 2]))
 
 
 @dataclass(frozen=True)

@@ -161,13 +161,12 @@ def run_trial(spec: ExperimentSpec, n: int, trial_index: int, graph: Graph) -> T
         s1 = observe(m_star, graph, sigma1, spec.mode, value_rng)
         kt = lam_hat = None
         if spec.estimator == "asp":
-            result = asp_estimate(s1)
-            kt = kt_distance(pi_star, result.pi_hat)
-            lam_hat = result.lambda_hat
+            est = asp_estimate(s1)
+            kt, lam_hat = kt_distance(pi_star, est.ranks), est.lam
             if spec.model == "ns":
                 err = noisy_sorting_error(n, kt, lam_hat, spec.lambda_star)
             else:
-                err = frobenius_error(result.m_hat, m_star)
+                err = frobenius_error(make_noisy_sorting(est.ranks, lam_hat), m_star)
         else:
             s2 = s1  # bap1 reuses the first sample
             if spec.estimator == "bap":
@@ -220,8 +219,7 @@ class SlopeFit:
     slope: float | None
     intercept: float | None
     r_squared: float | None
-    n_points: int
-    status: str = "ok"  # "ok" or "exact" (some mean error is zero)
+    n_points: int  # slope is None when some mean error is zero (exact)
 
 
 def _successful(records) -> list[TrialRecord]:
@@ -249,7 +247,7 @@ def fit_slope(records) -> dict[tuple, SlopeFit]:
         if len(means) < 2:
             raise ValueError(f"group {key} has fewer than 2 distinct n values")
         if any(v == 0.0 for v in means.values()):
-            out[key] = SlopeFit(None, None, None, len(means), status="exact")
+            out[key] = SlopeFit(None, None, None, len(means))
             continue
         x = np.log(np.fromiter(means.keys(), dtype=np.float64))
         y = np.log(np.fromiter(means.values(), dtype=np.float64))

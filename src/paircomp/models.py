@@ -209,11 +209,10 @@ def scores(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BisoCheck:
-    ok: bool
-    violation: str | None = None
+    violation: str | None = None  # the first violation; None when m is biso
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.violation is None
 
 
 def is_biso(m: np.ndarray, tol: float) -> BisoCheck:
@@ -225,21 +224,17 @@ def is_biso(m: np.ndarray, tol: float) -> BisoCheck:
     skew = np.abs(m + m.T - 1.0)
     if skew.max(initial=0.0) > tol:
         i, j = np.unravel_index(int(np.argmax(skew)), skew.shape)
-        return BisoCheck(False, f"skew violated at ({i}, {j}) by {skew[i, j]:.3g}")
+        return BisoCheck(f"skew violated at ({i}, {j}) by {skew[i, j]:.3g}")
     if n > 1:
         rows = np.diff(m, axis=1)
         if rows.min(initial=0.0) < -tol:
             i, j = np.unravel_index(int(np.argmin(rows)), rows.shape)
-            return BisoCheck(
-                False, f"row {i} decreases at column {j} -> {j + 1} by {-rows[i, j]:.3g}"
-            )
+            return BisoCheck(f"row {i} decreases at column {j} -> {j + 1} by {-rows[i, j]:.3g}")
         cols = np.diff(m, axis=0)
         if cols.max(initial=0.0) > tol:
             i, j = np.unravel_index(int(np.argmax(cols)), cols.shape)
-            return BisoCheck(
-                False, f"column {j} increases at row {i} -> {i + 1} by {cols[i, j]:.3g}"
-            )
-    return BisoCheck(True)
+            return BisoCheck(f"column {j} increases at row {i} -> {i + 1} by {cols[i, j]:.3g}")
+    return BisoCheck()
 
 
 def is_sst(m: np.ndarray, tol: float) -> bool | None:

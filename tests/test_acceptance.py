@@ -72,7 +72,7 @@ def _sweep(family, estimator, model, n_values, alpha=None, trials=10):
 
 def _slope(records):
     fit = next(iter(fit_slope(records).values()))
-    assert fit.status == "ok"
+    assert fit.slope is not None
     return fit.slope
 
 
@@ -116,7 +116,7 @@ def test_criterion_03_noiseless_exactness():
         m = make_noisy_sorting(identity_permutation(n), 0.4)
         s = observe(m, g, identity_permutation(n), "expectation")
         res = asp_estimate(s)
-        assert frobenius_error(res.m_hat, m) < 1e-12
+        assert frobenius_error(make_noisy_sorting(res.ranks, res.lam), m) < 1e-12
     _report(3, "expectation-mode ASP reproduces M_NS(id, 0.4) exactly for n in {3,10,50}")
 
 
@@ -244,19 +244,20 @@ def test_criterion_09_worst_case_certification():
         worst = 0.0
         for mode in ("independent_set", "biclique"):
             pair = adversarial_pair(g, mode)
-            assert np.array_equal(pair.m1[a], pair.m2[a])  # identical on every edge
-            kt = kt_distance(pair.pi1, pair.pi2)
-            d = pair.m1 - pair.m2
-            assert abs((d * d).sum() - 8 * pair.lam**2 * kt) < 1e-12
+            m1, m2 = (make_noisy_sorting(m.ranks, m.lam) for m in (pair.m1, pair.m2))
+            assert np.array_equal(m1[a], m2[a])  # identical on every edge
+            kt = kt_distance(pair.m1.ranks, pair.m2.ranks)
+            d = m1 - m2
+            assert abs((d * d).sum() - 8 * pair.m1.lam**2 * kt) < 1e-12
             if mode == "independent_set":
                 assert 2 * kt == alpha_cf * (alpha_cf - 1)
             else:
                 # the block swap inverts every cross pair: KT equals beta itself
                 assert kt == beta_cf
-            for truth in (pair.m1, pair.m2):
+            for truth in (m1, m2):
                 s = observe(truth, g, identity_permutation(n), "expectation")
                 est = asp_estimate(s)
-                worst = max(worst, frobenius_error(est.m_hat, truth))
+                worst = max(worst, frobenius_error(make_noisy_sorting(est.ranks, est.lam), truth))
         assert worst >= report.minimax_lb - 1e-12
     _report(9, "adversarial pairs certify the bound and ASP incurs it on all 9 cases")
 

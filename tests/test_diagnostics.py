@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from paircomp import (
     adversarial_pair,
     kt_distance,
     make_graph,
+    make_noisy_sorting,
     make_topology,
     max_biclique_complement,
     max_independent_set,
@@ -19,6 +21,11 @@ from paircomp import (
     report_to_text,
 )
 from paircomp import diagnostics
+
+
+def dense(m):
+    """The n x n matrix of a NoisySorting model."""
+    return make_noisy_sorting(m.ranks, m.lam)
 
 
 def alpha_bruteforce(g):
@@ -365,10 +372,11 @@ def test_adversarial_pair_star_independent_set():
     g = make_topology("star", 4)
     pair = adversarial_pair(g, "independent_set")
     a = adjacency_matrix(g)
-    assert np.array_equal(pair.m1[a], pair.m2[a])  # agree on all 3 star edges
-    d = pair.m1 - pair.m2
+    m1, m2 = dense(pair.m1), dense(pair.m2)
+    assert np.array_equal(m1[a], m2[a])  # agree on all 3 star edges
+    d = m1 - m2
     assert (d * d).sum() == pytest.approx(1.5)  # 8 * (1/4)^2 * KT with KT = 3
-    kt = kt_distance(pair.pi1, pair.pi2)
+    kt = kt_distance(pair.m1.ranks, pair.m2.ranks)
     alpha = 3
     assert 2 * kt == alpha * (alpha - 1)
 
@@ -377,28 +385,45 @@ def test_adversarial_pair_two_cliques_biclique():
     g = make_topology("two_cliques", 6)
     pair = adversarial_pair(g, "biclique")
     a = adjacency_matrix(g)
-    assert np.array_equal(pair.m1[a], pair.m2[a])  # agree on all 6 intra-clique edges
-    kt = kt_distance(pair.pi1, pair.pi2)
+    m1, m2 = dense(pair.m1), dense(pair.m2)
+    assert np.array_equal(m1[a], m2[a])  # agree on all 6 intra-clique edges
+    kt = kt_distance(pair.m1.ranks, pair.m2.ranks)
     beta = max_biclique_complement(g)[0]
     # a full block swap inverts every cross pair: KT equals beta itself
     assert kt == beta == 9
-    d = pair.m1 - pair.m2
-    assert (d * d).sum() == pytest.approx(8 * pair.lam**2 * kt, abs=1e-12)
+    d = m1 - m2
+    assert (d * d).sum() == pytest.approx(8 * pair.m1.lam**2 * kt, abs=1e-12)
 
 
 def test_adversarial_pair_identities_random_graphs():
     for seed in range(5):
         g = make_topology("erdos_renyi", 10, p=0.3, rng=np.random.default_rng(seed))
-        a = adjacency_matrix(g)
         for mode in ("independent_set", "biclique"):
             try:
                 pair = adversarial_pair(g, mode)
             except ValueError:
                 continue  # witness too small for this graph
-            assert np.array_equal(pair.m1[a], pair.m2[a])
-            kt = kt_distance(pair.pi1, pair.pi2)
-            d = pair.m1 - pair.m2
-            assert abs((d * d).sum() - 8 * pair.lam**2 * kt) < 1e-12
+            u, v = g.edges.T  # both models read at the edges, neither densified
+            assert np.array_equal(pair.m1[u, v], pair.m2[u, v])
+            assert pair.m1.lam == pair.m2.lam == diagnostics.ADVERSARIAL_LAMBDA
+            kt = kt_distance(pair.m1.ranks, pair.m2.ranks)
+            d = dense(pair.m1) - dense(pair.m2)
+            assert abs((d * d).sum() - 8 * pair.m1.lam**2 * kt) < 1e-12
+
+
+@pytest.mark.parametrize("family", ["star", "two_cliques", "path"])
+def test_adversarial_pair_allocates_no_dense_matrix(family):
+    # two n x n float matrices would be 256 MiB at n = 4096
+    g = make_topology(family, 4096)
+    for mode in ("independent_set", "biclique"):
+        tracemalloc.start()
+        try:
+            pair = adversarial_pair(g, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (mode, peak)
+        assert pair.m1.ranks.shape == pair.m2.ranks.shape == (4096,)
 
 
 def test_adversarial_pair_domain_errors():
@@ -433,7 +458,7 @@ def test_asp_incurs_lower_bound_on_random_graphs():
                 continue
             for truth in (pair.m1, pair.m2):
                 s = observe(truth, g, identity_permutation(g.n), "expectation")
-                worst = max(worst, frobenius_error(asp_estimate(s).m_hat, truth))
+                worst = max(worst, frobenius_error(dense(asp_estimate(s)), dense(truth)))
         checked += 1
         assert worst >= report.minimax_lb - 1e-12
     assert checked >= 8
