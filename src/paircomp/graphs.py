@@ -79,35 +79,48 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     e = np.asarray(edges)
+    if e.size and (e.ndim != 2 or e.shape[1] != 2):
+        raise ValueError(f"edges must have shape (m, 2), got {e.shape}")
     if e.dtype.kind == "f" and not np.all(np.isfinite(e) & (e == np.floor(e))):
         raise ValueError("edge endpoints must be integers")
     with np.errstate(invalid="ignore"):  # a float past int64 casts out of range
         e = e.astype(np.int64, copy=False)
     e = sort_pairs(e.reshape(-1, 2), n, validate=True)
-    degrees = np.bincount(e.ravel(), minlength=n).astype(np.int64)
-    e.setflags(write=False)
+    return _frozen_graph(n, e, np.bincount(e.ravel(), minlength=n), family)
+
+
+def _frozen_graph(n: int, edges: np.ndarray, degrees: np.ndarray, family) -> Graph:
+    degrees = degrees.astype(np.int64, copy=False)
+    edges.setflags(write=False)
     degrees.setflags(write=False)
-    return Graph(n=n, edges=e, degrees=degrees, family=family)
+    return Graph(n=n, edges=edges, degrees=degrees, family=family)
+
+
+def _key_dtype(n: int):
+    """Narrowest integer type holding sort_pairs' key over 0..n-1: 2b bits."""
+    return np.int32 if 2 * max(1, (n - 1).bit_length()) < 31 else np.int64
 
 
 def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
     """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order.
 
-    Each row becomes one int64 key, min(u, v) << b | max(u, v), where
+    Each row becomes one integer key, min(u, v) << b | max(u, v), where
     b = max(1, (n - 1).bit_length()) bits hold any vertex of 0..n-1, so the
     key orders rows lexicographically and one 1-D sort replaces a row sort
     plus a two-key lexsort; it is skipped when the keys already increase
-    strictly.  With validate, endpoints outside 0..n-1, self-loops and
-    duplicate rows raise ValueError.
+    strictly.  The key is int32 while 2b < 31 (n <= 32768), halving the sort's
+    traffic, else int64; rows come back int64.  With validate, endpoints outside
+    0..n-1 (checked before the key narrows them), self-loops and duplicate
+    rows raise ValueError.
     """
     b = max(1, (n - 1).bit_length())
-    key = np.minimum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
-    hi = np.maximum(pairs[:, 0], pairs[:, 1], dtype=np.int64)
-    if validate and len(key):
-        if key.min() < 0 or hi.max() >= n:
-            raise ValueError("edge endpoint out of range")
-        if np.any(key == hi):
-            raise ValueError("self-loops are not allowed")
+    if validate and len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    dtype = _key_dtype(n)
+    key = np.minimum(pairs[:, 0], pairs[:, 1], dtype=dtype)
+    hi = np.maximum(pairs[:, 0], pairs[:, 1], dtype=dtype)
+    if validate and np.any(key == hi):
+        raise ValueError("self-loops are not allowed")
     key <<= b
     key |= hi
     del hi  # one m-long array fewer under the unpacked copy
@@ -143,6 +156,21 @@ def _interval_edges(first, last) -> np.ndarray:
     e[:, 1] = np.arange(len(e))
     e[:, 1] += np.repeat(first - start, count)
     return e
+
+
+def _interval_graph(n: int, first, last, family: str) -> Graph:
+    """Graph of the edges u-v for first[u] <= v < last[u], checked in O(n).
+
+    u < first[u] <= last[u] <= n makes the rows in range, loop-free and
+    strictly increasing, all that make_graph checks: no key sort, no recount."""
+    u = np.arange(n)
+    last = np.broadcast_to(last, (n,))
+    if not np.all((u < first) & (first <= last) & (last <= n)):
+        raise ValueError(f"{family}: vertex intervals need u < first[u] <= last[u] <= n")
+    # v's in-degree counts the intervals open at v: starts minus ends up to v
+    opened = np.bincount(first, minlength=n + 1) - np.bincount(last, minlength=n + 1)
+    degrees = last - first + np.cumsum(opened[:n])
+    return _frozen_graph(n, _interval_edges(first, last), degrees, family)
 
 
 def make_topology(
@@ -181,12 +209,12 @@ def make_topology(
     h = n // 2
     u = np.arange(n)
     if family == "complete":
-        edges = _interval_edges(u + 1, n)
+        first, last = u + 1, n
     elif family == "two_cliques":
-        edges = _interval_edges(u + 1, np.where(u < h, h, n))
+        first, last = u + 1, np.where(u < h, h, n)
     elif family == "clique_plus_path":
         # path hangs off the last clique vertex, h - 1
-        edges = _interval_edges(u + 1, np.where(u < h - 1, h, np.minimum(u + 2, n)))
+        first, last = u + 1, np.where(u < h - 1, h, np.minimum(u + 2, n))
     elif family == "power_law":
         # The literal staircase d_i = i is not graphical (d_n = n exceeds n-1,
         # and capping at n-1 leaves duplicate near-universal degrees that
@@ -195,7 +223,11 @@ def make_topology(
         # keeping the linear profile.  Its realization is the half graph:
         # u < v are adjacent iff u + v >= n - 1, the same edge set Havel-Hakimi
         # builds from that sequence.
-        edges = _interval_edges(np.maximum(u + 1, n - 1 - u), n)
+        first, last = np.maximum(u + 1, n - 1 - u), n
+    elif family == "star":
+        first, last = u + 1, np.where(u == 0, n, u + 1)
+    elif family == "path":
+        first, last = u + 1, np.minimum(u + 2, n)
     elif family == "regular_bipartite":
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise ValueError("regular_bipartite requires alpha in (0, 1]")
@@ -205,15 +237,11 @@ def make_topology(
         right += left
         right %= h
         right += h
-        edges = np.column_stack((left, right))
-    elif family == "star":
-        edges = _interval_edges(u + 1, np.where(u == 0, n, u + 1))
-    elif family == "path":
-        edges = _interval_edges(u + 1, np.minimum(u + 2, n))
+        return make_graph(n, np.column_stack((left, right)), family=family)
     elif family == "cycle":
         if n < 3:
             raise ValueError(f"cycle requires n >= 3, got n={n}")
-        edges = np.column_stack((u, (u + 1) % n))
+        return make_graph(n, np.column_stack((u, (u + 1) % n)), family=family)
     else:  # erdos_renyi
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("erdos_renyi requires p in (0, 1]")
@@ -221,8 +249,8 @@ def make_topology(
             raise ValueError("erdos_renyi requires a seeded generator")
         iu = np.triu_indices(n, k=1)
         keep = rng.random(len(iu[0])) < p
-        edges = np.column_stack((iu[0][keep], iu[1][keep]))
-    return make_graph(n, edges, family=family)
+        return make_graph(n, np.column_stack((iu[0][keep], iu[1][keep])), family=family)
+    return _interval_graph(n, first, last, family)
 
 
 def havel_hakimi(degseq) -> Graph:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import chain, product, repeat
 
@@ -210,6 +209,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[TrialRecord]:
     ns, runs = zip(*product(spec.n_values, size_runs))
     if workers == 1:
         return list(chain.from_iterable(map(_run_trials, repeat(spec), ns, runs)))
+    from concurrent.futures import ProcessPoolExecutor  # deferred: ~24 ms of import
     with ProcessPoolExecutor(max_workers=min(workers, len(runs))) as pool:
         return list(chain.from_iterable(pool.map(_run_trials, repeat(spec), ns, runs)))
 

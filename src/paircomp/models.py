@@ -166,7 +166,9 @@ class NoisySorting:
 
     def __getitem__(self, index) -> np.ndarray:
         i, j = index
-        return 0.5 + self.lam * np.sign(self.ranks[j] - self.ranks[i]).astype(np.float64)
+        # entry k is 1/2 + lam * (k - 1), the same bits as that formula per pair
+        table = 0.5 + self.lam * np.array([-1.0, 0.0, 1.0])
+        return table.take(np.sign(self.ranks[j] - self.ranks[i]) + 1)
 
 
 def make_noisy_sorting(ranks, lam: float) -> np.ndarray:

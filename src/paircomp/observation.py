@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, sort_pairs
+from .graphs import Graph, _key_dtype, sort_pairs
 from .models import (
     NoisySorting,
     check_comparison_matrix,
@@ -84,7 +84,9 @@ def observe(
     if mode == "bernoulli" and rng is None:
         raise ValueError("bernoulli mode requires a seeded generator")
 
-    pairs = sort_pairs(inverse_permutation(sigma)[g.edges], g.n)
+    # gathered in the key's width: an int32 inverse halves the (m, 2) temporary
+    inv = inverse_permutation(sigma).astype(_key_dtype(g.n), copy=False)
+    pairs = sort_pairs(inv[g.edges], g.n)
     probs = m[pairs[:, 0], pairs[:, 1]]
     if mode == "bernoulli":
         values = (rng.random(len(probs)) < probs).astype(np.float64)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from paircomp import (
     make_topology,
     to_edge_list,
 )
-from paircomp.graphs import sort_pairs
+from paircomp.graphs import _interval_graph, sort_pairs
 
 ALL_FAMILIES = [
     ("complete", 9, {}),
@@ -275,6 +277,53 @@ def test_sort_pairs_matches_lexsort(dtype):
         assert np.array_equal(out, lexsort_reference(pairs)), n
 
 
+@pytest.mark.parametrize("validate", [False, True])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_sort_pairs_matches_lexsort_at_the_key_width_boundary(dtype, validate):
+    # n = 2**15 is the last size with an int32 key (b = 15); from 2**15 + 1 on,
+    # b = 16 and the key is int64: at n = 2**16 an int32 key would overflow
+    rng = np.random.default_rng(9)
+    for n in (2**15, 2**15 + 1, 2**16):
+        top = n - 1
+        near_top = rng.integers(n - 300, n, size=(400, 2))
+        rows = np.sort(np.vstack([[(top, top - 1), (0, top), (top - 2, 5), (top, 1)], near_top]))
+        rows = np.unique(rows[rows[:, 0] < rows[:, 1]], axis=0)  # valid input for validate
+        pairs = rows[rng.permutation(len(rows))]
+        flip = rng.random(len(pairs)) < 0.5
+        pairs[flip] = pairs[flip][:, ::-1]
+        pairs = pairs.astype(dtype)
+        out = sort_pairs(pairs, n, validate=validate)
+        assert out.dtype == np.int64 and out.shape == pairs.shape
+        assert np.array_equal(out, lexsort_reference(pairs)), n
+        if validate:
+            with pytest.raises(ValueError, match="out of range"):
+                sort_pairs(np.array([(0, n)], dtype=dtype), n, validate=True)
+
+
+def test_make_graph_range_check_sees_64_bit_endpoints():
+    # cast to int32 first, 2**32 + 1 would wrap to the valid edge (0, 1)
+    for big in (2**32 + 1, 2**33):
+        with pytest.raises(ValueError, match="out of range"):
+            make_graph(3, [(0, big)])
+        with pytest.raises(ValueError, match="out of range"):
+            make_graph(3, np.array([(big, 1)], dtype=np.int64))
+
+
+def test_make_graph_accepts_only_pairs():
+    for bad, shape in (
+        ([(0, 1, 2), (1, 2, 3)], (2, 3)),
+        ([0, 1, 2, 3], (4,)),
+        ([0, 1, 2], (3,)),
+        ([[(0, 1)]], (1, 1, 2)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"edges must have shape (m, 2), got {shape}")):
+            make_graph(4, bad)
+    for empty in ([], np.zeros((0, 2)), np.zeros((0, 3), dtype=np.int64)):
+        g = make_graph(4, empty)
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        assert g.degrees.tolist() == [0, 0, 0, 0]
+
+
 # u ~ v in each family built from vertex intervals
 INTERVAL_FAMILIES = {
     "complete": lambda u, v, n: True,
@@ -306,3 +355,31 @@ def test_interval_families_match_adjacency_rule(family):
         assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
         assert g.edges.tolist() == [list(e) for e in ref], n
         assert np.array_equal(g.degrees, deg), n
+
+
+@pytest.mark.parametrize("family", sorted(INTERVAL_FAMILIES))
+def test_interval_families_equal_their_validated_build(family):
+    even = family in ("two_cliques", "clique_plus_path")
+    for n in (1023, 1024, 2048):
+        if even and n % 2:
+            continue
+        g = make_topology(family, n)
+        ref = make_graph(n, g.edges)
+        assert g.edges.dtype == ref.edges.dtype == np.int64
+        assert g.degrees.dtype == ref.degrees.dtype == np.int64
+        assert not g.edges.flags.writeable and not g.degrees.flags.writeable
+        assert np.array_equal(g.edges, ref.edges), n
+        assert np.array_equal(g.degrees, ref.degrees), n
+
+
+def test_interval_graph_rejects_bad_intervals():
+    u = np.arange(4)
+    assert _interval_graph(4, u + 1, 4, "complete").num_edges == 6
+    for first, last in (
+        (u, 4),  # first[u] == u: a self-loop
+        (np.array([1, 3, 3, 4]), np.array([4, 2, 4, 4])),  # first[1] > last[1]
+        (u + 1, np.array([4, 5, 4, 4])),  # last[1] past n
+        (np.array([2, 1, 3, 4]), 4),  # first[1] == u
+    ):
+        with pytest.raises(ValueError, match="vertex intervals need"):
+            _interval_graph(4, first, last, "bad")

@@ -259,7 +259,7 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
 
         map = staticmethod(map)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlineExecutor)
     cases = [((8,), 1, 5000, 1), ((8, 16), 3, 2, 2), ((8, 16), 3, 5, 5), ((8, 16), 3, 10, 6)]
     for n_values, trials, workers, expected in cases:
         spec = small_spec(n_values=n_values, trials=trials)

@@ -242,6 +242,24 @@ def test_noisy_sorting_model_entries_and_validation():
         NoisySorting([0, 0, 1], 0.2)
 
 
+def test_noisy_sorting_entries_are_bit_identical_to_the_closed_form():
+    rng = np.random.default_rng(12)
+    r = random_perm(rng, 40)
+    i, j = rng.integers(0, 40, size=(2, 500))
+    idx = np.arange(40)
+    for lam in (0.0, 0.1, 0.4, 0.5):
+        model = NoisySorting(r, lam)
+        for a, b in ((i, j), (idx, idx), (idx[:, None], idx[None, :]), (i[:7, None], j[None, :9])):
+            got = model[a, b]
+            ref = 0.5 + lam * np.sign(r[b] - r[a]).astype(np.float64)
+            assert got.dtype == np.float64 and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes(), lam
+        for a, b in ((3, 3), (int(i[0]), int(j[0])), (np.int64(5), np.int64(17))):
+            got = model[a, b]
+            ref = 0.5 + lam * np.sign(r[b] - r[a]).astype(np.float64)
+            assert type(got) is np.float64 and got.tobytes() == ref.tobytes(), (lam, a, b)
+
+
 def test_noisy_sorting_error_matches_dense_frobenius():
     rng = np.random.default_rng(11)
     for _ in range(60):

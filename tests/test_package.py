@@ -97,3 +97,20 @@ def test_no_call_loads_scipy(tmp_path):
         assert code == 0, argv
         assert (code, out) == _cli(argv)[:2], argv
     assert loaded == []
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # a sweep with --workers > 1 imports them; every other call starts without
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, paircomp.cli; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
