@@ -52,8 +52,7 @@ class SearchBudgetError(ValueError):
 
 def _neighbor_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
-    for u, v in g.edges:
-        u, v = int(u), int(v)  # python ints, not numpy scalars: cheaper bit arithmetic
+    for u, v in g.edges.tolist():  # python ints, not numpy scalars: cheaper bit arithmetic
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return masks

@@ -66,7 +66,9 @@ def asp_lambda_mle(s: ObservationSample, pi) -> float:
         raise ValueError("cannot fit lambda from an empty sample")
     p = check_permutation(pi)
     inverted = p[s.pairs[:, 0]] > p[s.pairs[:, 1]]
-    aligned = np.where(inverted, 1.0 - s.values, s.values)
+    # |inverted - y| is 1 - y on inverted pairs and y elsewhere, in one array
+    aligned = np.subtract(inverted, s.values)
+    np.abs(aligned, out=aligned)
     lam = float(aligned.mean() - 0.5)
     return min(max(lam, 0.0), 0.5)
 

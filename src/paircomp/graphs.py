@@ -56,7 +56,8 @@ class Graph:
         Vertex count.
     edges : ndarray of shape (m, 2)
         Unordered edges stored as rows (u, v) with u < v, lexicographically
-        sorted.  Read-only.
+        sorted.  Column-major int64, so each endpoint column is contiguous.
+        Read-only.
     degrees : ndarray of shape (n,)
         Per-vertex edge counts.  Read-only.
     family : str or None
@@ -86,7 +87,7 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
     with np.errstate(invalid="ignore"):  # a float past int64 casts out of range
         e = e.astype(np.int64, copy=False)
     e = sort_pairs(e.reshape(-1, 2), n, validate=True)
-    return _frozen_graph(n, e, np.bincount(e.ravel(), minlength=n), family)
+    return _frozen_graph(n, e, np.bincount(e.ravel("K"), minlength=n), family)
 
 
 def _frozen_graph(n: int, edges: np.ndarray, degrees: np.ndarray, family) -> Graph:
@@ -109,9 +110,9 @@ def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
     key orders rows lexicographically and one 1-D sort replaces a row sort
     plus a two-key lexsort; it is skipped when the keys already increase
     strictly.  The key is int32 while 2b < 31 (n <= 32768), halving the sort's
-    traffic, else int64; rows come back int64.  With validate, endpoints outside
-    0..n-1 (checked before the key narrows them), self-loops and duplicate
-    rows raise ValueError.
+    traffic, else int64; rows come back int64, column-major.  With validate,
+    endpoints outside 0..n-1 (checked before the key narrows them), self-loops
+    and duplicate rows raise ValueError.
     """
     b = max(1, (n - 1).bit_length())
     if validate and len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
@@ -129,7 +130,7 @@ def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
         # strictly increasing keys have no duplicates: only a sorted key is checked
         if validate and np.any(key[1:] == key[:-1]):
             raise ValueError("duplicate edges are not allowed")
-    out = np.empty((len(key), 2), dtype=np.int64)
+    out = np.empty((len(key), 2), dtype=np.int64, order="F")
     np.right_shift(key, b, out=out[:, 0])
     np.bitwise_and(key, (1 << b) - 1, out=out[:, 1])
     return out
@@ -151,7 +152,7 @@ def _interval_edges(first, last) -> np.ndarray:
     """
     count = last - first
     start = np.cumsum(count) - count
-    e = np.empty((int(count.sum()), 2), dtype=np.int64)
+    e = np.empty((int(count.sum()), 2), dtype=np.int64, order="F")
     e[:, 0] = np.repeat(np.arange(len(count)), count)
     e[:, 1] = np.arange(len(e))
     e[:, 1] += np.repeat(first - start, count)

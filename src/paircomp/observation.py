@@ -38,13 +38,22 @@ class ObservationSample:
     pairs holds the observed (i, j) with i < j, lexicographically sorted;
     values holds Y_ij in [0, 1] (the reverse direction is implied via
     Y_ji = 1 - Y_ij and is never stored).  assignment is the item-to-vertex
-    permutation sigma that produced the pair set.
+    permutation sigma that produced the pair set.  counts holds each item's
+    number of observed comparisons; it is trusted as given, and when omitted
+    it is counted from pairs.
     """
 
     n: int
     pairs: np.ndarray
     values: np.ndarray
     assignment: np.ndarray
+    counts: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.counts is None:
+            counts = np.bincount(self.pairs.ravel("K"), minlength=self.n)
+            counts.setflags(write=False)
+            object.__setattr__(self, "counts", counts)
 
     @property
     def num_pairs(self) -> int:
@@ -92,20 +101,20 @@ def observe(
         values = (rng.random(len(probs)) < probs).astype(np.float64)
     else:
         values = probs.astype(np.float64, copy=True)
-    pairs.setflags(write=False)
-    values.setflags(write=False)
-    return ObservationSample(n=g.n, pairs=pairs, values=values, assignment=sigma)
+    # item i is compared along exactly the edges at its vertex sigma(i)
+    counts = g.degrees[sigma]
+    for a in (pairs, values, counts):
+        a.setflags(write=False)
+    return ObservationSample(n=g.n, pairs=pairs, values=values, assignment=sigma, counts=counts)
 
 
 def empirical_scores(s: ObservationSample) -> np.ndarray:
     """Fraction of observed comparisons won by each item."""
-    counts = np.bincount(s.pairs.ravel(), minlength=s.n)
-    i, j = s.pairs[:, 0], s.pairs[:, 1]
-    if counts.min() == 0:
-        raise ValueError(f"item {int(np.argmin(counts))} has no observed comparisons")
-    wins = np.bincount(i, weights=s.values, minlength=s.n)
-    wins += np.bincount(j, weights=1.0 - s.values, minlength=s.n)
-    return wins / counts
+    if s.counts.min() == 0:
+        raise ValueError(f"item {int(np.argmin(s.counts))} has no observed comparisons")
+    wins = np.bincount(s.pairs[:, 0], weights=s.values, minlength=s.n)
+    wins += np.bincount(s.pairs[:, 1], weights=1.0 - s.values, minlength=s.n)
+    return wins / s.counts
 
 
 def sample_matrix(s: ObservationSample) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +154,7 @@ def sample_from_text(text: str) -> ObservationSample:
         n, k = (int(tok) for tok in ln.split())
         if not 0 <= k == len(lines) - 2:
             raise ValueError(f"header promises {k} pairs, found {len(lines) - 2}")
-        pairs = np.empty((k, 2), dtype=np.int64)
+        pairs = np.empty((k, 2), dtype=np.int64, order="F")
         values = np.empty(k, dtype=np.float64)
         for r, (no, ln) in enumerate(lines[1 : k + 1]):
             i, j, v = ln.split()

@@ -7,6 +7,7 @@ import pytest
 
 from paircomp import (
     NoisySorting,
+    ObservationSample,
     asp_estimate,
     asp_lambda_mle,
     asp_sort,
@@ -94,6 +95,34 @@ def test_asp_lambda_mle_cases():
     )
     with pytest.raises(ValueError):
         asp_lambda_mle(empty, ident(2))
+
+
+def test_asp_lambda_mle_alignment_matches_where_formula_bit_for_bit():
+    # |inverted - y| has the bits of np.where(inverted, 1 - y, y) for y in [0, 1]
+    n = 90
+    pairs = make_topology("complete", n).edges
+    i, j = pairs[:, 0], pairs[:, 1]
+    rng = np.random.default_rng(12)
+    truth = ident(n)
+    truth[20:30] = truth[20:30][::-1]
+    ys = [
+        rng.random(len(pairs)),
+        rng.random(len(pairs)) ** 0.25,
+        rng.integers(0, 2, len(pairs)).astype(np.float64),
+        np.array([0.0, 0.5, 1.0])[rng.integers(0, 3, len(pairs))],
+    ]
+    # expectation-mode values, 1/2 +- lam
+    ys += [NoisySorting(truth, lam)[i, j] for lam in (0.0, 0.1, 0.3, 0.5)]
+    pi = ident(n)
+    pi[:10] = pi[:10][::-1]
+    inverted = pi[i] > pi[j]
+    for y in ys:
+        ref = np.where(inverted, 1.0 - y, y)
+        got = np.subtract(inverted, y)
+        np.abs(got, out=got)
+        assert got.tobytes() == ref.tobytes()
+        s = ObservationSample(n=n, pairs=pairs, values=y, assignment=ident(n))
+        assert asp_lambda_mle(s, pi) == min(max(float(ref.mean() - 0.5), 0.0), 0.5)
 
 
 @pytest.mark.parametrize("n", [3, 10, 50])

@@ -248,6 +248,17 @@ def test_edges_are_immutable():
         g.edges[0, 0] = 3
 
 
+@pytest.mark.parametrize("family,n,kwargs", ALL_FAMILIES)
+def test_edges_are_column_major_int64(family, n, kwargs):
+    # each endpoint column is one contiguous array, whatever layout came in
+    g = make_topology(family, n, **kwargs)
+    rows = np.ascontiguousarray(g.edges[::-1])
+    for h in (g, make_graph(n, rows), make_graph(n, rows.tolist())):
+        assert h.num_edges >= 2
+        assert h.edges.dtype == np.int64 and h.edges.flags.f_contiguous
+        assert np.array_equal(h.edges, g.edges)
+
+
 def lexsort_reference(pairs):
     rows = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
     return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
@@ -352,7 +363,7 @@ def test_interval_families_match_adjacency_rule(family):
             deg[u] += 1
             deg[v] += 1
         g = make_topology(family, n)
-        assert g.edges.dtype == np.int64 and g.edges.flags.c_contiguous
+        assert g.edges.dtype == np.int64 and g.edges.flags.f_contiguous
         assert g.edges.tolist() == [list(e) for e in ref], n
         assert np.array_equal(g.degrees, deg), n
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from paircomp import (
     NoisySorting,
     ObservationSample,
     adjacency_matrix,
+    asp_estimate,
     assign_random,
     empirical_scores,
     identity_permutation,
     make_noisy_sorting,
     make_topology,
+    GRAPH_FAMILIES,
     observe,
     sample_from_text,
     sample_matrix,
@@ -152,6 +155,70 @@ def test_empirical_scores_rejects_unobserved_item():
     )
     with pytest.raises(ValueError, match="item 2"):
         empirical_scores(s)
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_observe_counts_are_the_recount_of_its_pairs(family, mode):
+    kwargs = {"alpha": 0.5} if family == "regular_bipartite" else {}
+    if family == "erdos_renyi":
+        kwargs = {"p": 0.5, "rng": np.random.default_rng(1)}
+    g = make_topology(family, 12, **kwargs)
+    rng = np.random.default_rng(4)
+    s = observe(NoisySorting(identity_permutation(g.n), 0.3), g, assign_random(g, rng), mode, rng)
+    assert s.pairs.dtype == np.int64 and s.pairs.flags.f_contiguous
+    assert s.counts.dtype == np.int64 and not s.counts.flags.writeable
+    assert np.array_equal(s.counts, np.bincount(s.pairs.ravel(), minlength=g.n))
+
+
+def test_observe_counts_name_the_same_unobserved_item():
+    g = make_topology("erdos_renyi", 12, p=0.2, rng=np.random.default_rng(3))
+    assert g.degrees.tolist().count(0) == 1  # vertex 4 is isolated
+    rng = np.random.default_rng(5)
+    sigma = assign_random(g, rng)
+    s = observe(NoisySorting(identity_permutation(12), 0.3), g, sigma, "bernoulli", rng)
+    recount = np.bincount(s.pairs.ravel(), minlength=12)
+    assert np.array_equal(s.counts, recount)
+    item = int(np.argmin(recount))
+    assert sigma[item] == 4
+    with pytest.raises(ValueError, match=f"item {item} has no observed comparisons"):
+        empirical_scores(s)
+
+
+def test_sample_text_round_trip_keeps_counts_and_layout():
+    g = make_topology("power_law", 10)
+    rng = np.random.default_rng(6)
+    m = make_noisy_sorting(identity_permutation(10), 0.2)
+    s = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    s2 = sample_from_text(sample_to_text(s))
+    assert np.array_equal(s2.counts, s.counts)
+    assert s2.pairs.dtype == np.int64 and s2.pairs.flags.f_contiguous
+    assert np.array_equal(empirical_scores(s2), empirical_scores(s))
+
+
+def traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        result = f(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_ns_asp_steps_allocate_few_edge_sized_arrays(mode):
+    # peaks in units of one int64 per edge; an m-long bool mask alone is 1/8
+    n = 2048
+    g, peak = traced_peak(make_topology, "two_cliques", n)
+    unit = 8 * g.num_edges
+    assert peak < 3.05 * unit
+    rng = np.random.default_rng(8)
+    model = NoisySorting(identity_permutation(n), 0.2)
+    s, peak = traced_peak(observe, model, g, assign_random(g, rng), mode, rng)
+    assert peak < 4.15 * unit
+    _, peak = traced_peak(asp_estimate, s)
+    assert peak < 2.15 * unit
 
 
 def test_score_concentration_improves_with_n():
