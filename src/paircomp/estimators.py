@@ -64,7 +64,7 @@ def asp_lambda_mle(s: ObservationSample, pi) -> float:
     """
     if s.num_pairs == 0:
         raise ValueError("cannot fit lambda from an empty sample")
-    p = check_permutation(pi)
+    p = check_permutation(pi).astype(np.int32)  # every rank is < n: half-size gathers
     inverted = p[s.pairs[:, 0]] > p[s.pairs[:, 1]]
     # |inverted - y| is 1 - y on inverted pairs and y elsewhere, in one array
     aligned = np.subtract(inverted, s.values)
@@ -304,8 +304,9 @@ def _sample_block_means(s: ObservationSample, lab: np.ndarray, k: int) -> np.nda
     m = s.num_pairs
     key = np.empty(2 * m, dtype=np.int64)
     fwd, rev = key[:m], key[m:]
-    np.take(lab, s.pairs[:, 0], out=fwd)
-    np.take(lab, s.pairs[:, 1], out=rev)
+    # a plain gather: np.take(out=) would buffer its output and copy the read-only column
+    fwd[...] = lab[s.pairs[:, 0]]
+    rev[...] = lab[s.pairs[:, 1]]
     fwd *= k
     fwd += rev
     rev *= k

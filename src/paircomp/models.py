@@ -168,7 +168,11 @@ class NoisySorting:
         i, j = index
         # entry k is 1/2 + lam * (k - 1), the same bits as that formula per pair
         table = 0.5 + self.lam * np.array([-1.0, 0.0, 1.0])
-        return table.take(np.sign(self.ranks[j] - self.ranks[i]) + 1)
+        # the operator form lets numpy reuse a gather's buffer for the difference
+        step = np.asarray(self.ranks[j] - self.ranks[i])
+        np.sign(step, out=step)
+        step += 1
+        return table.take(step)
 
 
 def make_noisy_sorting(ranks, lam: float) -> np.ndarray:

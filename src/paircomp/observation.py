@@ -96,11 +96,10 @@ def observe(
     # gathered in the key's width: an int32 inverse halves the (m, 2) temporary
     inv = inverse_permutation(sigma).astype(_key_dtype(g.n), copy=False)
     pairs = sort_pairs(inv[g.edges], g.n)
-    probs = m[pairs[:, 0], pairs[:, 1]]
+    # the gather is a fresh array, so a Bernoulli draw overwrites it with 1.0 or 0.0
+    values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
     if mode == "bernoulli":
-        values = (rng.random(len(probs)) < probs).astype(np.float64)
-    else:
-        values = probs.astype(np.float64, copy=True)
+        np.less(rng.random(len(values)), values, out=values)
     # item i is compared along exactly the edges at its vertex sigma(i)
     counts = g.degrees[sigma]
     for a in (pairs, values, counts):
@@ -112,8 +111,13 @@ def empirical_scores(s: ObservationSample) -> np.ndarray:
     """Fraction of observed comparisons won by each item."""
     if s.counts.min() == 0:
         raise ValueError(f"item {int(np.argmin(s.counts))} has no observed comparisons")
-    wins = np.bincount(s.pairs[:, 0], weights=s.values, minlength=s.n)
-    wins += np.bincount(s.pairs[:, 1], weights=1.0 - s.values, minlength=s.n)
+    # np.add.at sums in index order from zero, as bincount does, but reads the
+    # sample's read-only arrays in place where bincount would copy them
+    wins = np.zeros(s.n)
+    np.add.at(wins, s.pairs[:, 0], s.values)
+    lost = np.zeros(s.n)
+    np.add.at(lost, s.pairs[:, 1], 1.0 - s.values)
+    wins += lost
     return wins / s.counts
 
 

@@ -113,16 +113,17 @@ def test_asp_lambda_mle_alignment_matches_where_formula_bit_for_bit():
     ]
     # expectation-mode values, 1/2 +- lam
     ys += [NoisySorting(truth, lam)[i, j] for lam in (0.0, 0.1, 0.3, 0.5)]
-    pi = ident(n)
-    pi[:10] = pi[:10][::-1]
-    inverted = pi[i] > pi[j]
-    for y in ys:
-        ref = np.where(inverted, 1.0 - y, y)
-        got = np.subtract(inverted, y)
-        np.abs(got, out=got)
-        assert got.tobytes() == ref.tobytes()
-        s = ObservationSample(n=n, pairs=pairs, values=y, assignment=ident(n))
-        assert asp_lambda_mle(s, pi) == min(max(float(ref.mean() - 0.5), 0.0), 0.5)
+    head_reversed = ident(n)
+    head_reversed[:10] = head_reversed[:10][::-1]
+    for pi in (head_reversed, rng.permutation(n)):
+        inverted = pi[i] > pi[j]  # int64 gathers, as the reference
+        for y in ys:
+            ref = np.where(inverted, 1.0 - y, y)
+            got = np.subtract(inverted, y)
+            np.abs(got, out=got)
+            assert got.tobytes() == ref.tobytes()
+            s = ObservationSample(n=n, pairs=pairs, values=y, assignment=ident(n))
+            assert asp_lambda_mle(s, pi) == min(max(float(ref.mean() - 0.5), 0.0), 0.5)
 
 
 @pytest.mark.parametrize("n", [3, 10, 50])

@@ -245,11 +245,13 @@ def test_noisy_sorting_model_entries_and_validation():
 def test_noisy_sorting_entries_are_bit_identical_to_the_closed_form():
     rng = np.random.default_rng(12)
     r = random_perm(rng, 40)
+    r_before = r.copy()
     i, j = rng.integers(0, 40, size=(2, 500))
     idx = np.arange(40)
     for lam in (0.0, 0.1, 0.4, 0.5):
         model = NoisySorting(r, lam)
-        for a, b in ((i, j), (idx, idx), (idx[:, None], idx[None, :]), (i[:7, None], j[None, :9])):
+        pairs = ((i, j), (idx, idx), (idx[:, None], idx[None, :]), (i[:7, None], j[None, :9]))
+        for a, b in pairs + ((slice(None), 3), (slice(5, 20), slice(10, 25))):
             got = model[a, b]
             ref = 0.5 + lam * np.sign(r[b] - r[a]).astype(np.float64)
             assert got.dtype == np.float64 and got.shape == ref.shape
@@ -258,6 +260,7 @@ def test_noisy_sorting_entries_are_bit_identical_to_the_closed_form():
             got = model[a, b]
             ref = 0.5 + lam * np.sign(r[b] - r[a]).astype(np.float64)
             assert type(got) is np.float64 and got.tobytes() == ref.tobytes(), (lam, a, b)
+        assert np.array_equal(model.ranks, r_before)  # no in-place step writes through a view
 
 
 def test_noisy_sorting_error_matches_dense_frobenius():
