@@ -19,7 +19,6 @@ from .observation import ObservationSample, empirical_scores
 
 __all__ = [
     "asp_sort",
-    "inversion_set",
     "asp_lambda_mle",
     "asp_estimate",
     "pav_isotonic",
@@ -28,7 +27,6 @@ __all__ = [
     "BlockPartition",
     "block_partition",
     "block_average",
-    "row_block_average",
     "bap_estimate",
 ]
 
@@ -46,13 +44,6 @@ def asp_sort(tau_hat) -> np.ndarray:
     if not np.all(np.isfinite(tau)):
         raise ValueError("scores must be finite")
     return inverse_permutation(np.argsort(-tau, kind="stable"))
-
-
-def inversion_set(s: ObservationSample, pi) -> np.ndarray:
-    """Observed pairs (i, j), i < j, whose order pi inverts (pi[i] > pi[j])."""
-    p = check_permutation(pi)
-    mask = p[s.pairs[:, 0]] > p[s.pairs[:, 1]]
-    return s.pairs[mask]
 
 
 def asp_lambda_mle(s: ObservationSample, pi) -> float:
@@ -331,15 +322,6 @@ def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.
     i, j = np.nonzero(observed)
     k = c.num_groups
     return _block_means(lab[i] * k + lab[j], x[i, j], k)[lab[:, None], lab]
-
-
-def row_block_average(x: np.ndarray, c: BlockPartition) -> np.ndarray:
-    """Replace each row by the mean of the rows sharing its group."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    for grp in c.groups:
-        out[grp] = x[grp].mean(axis=0)
-    return out
 
 
 # ---------------------------------------------------------------------------

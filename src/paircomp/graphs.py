@@ -15,15 +15,10 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "InfeasibleDegreeSequenceError",
     "make_graph",
     "make_topology",
     "sort_pairs",
-    "havel_hakimi",
     "degree_functional",
-    "adjacency_matrix",
-    "to_edge_list",
-    "from_edge_list",
     "GRAPH_FAMILIES",
 ]
 
@@ -40,10 +35,6 @@ GRAPH_FAMILIES = (
 )
 
 _EVEN_N_FAMILIES = ("two_cliques", "clique_plus_path", "regular_bipartite")
-
-
-class InfeasibleDegreeSequenceError(ValueError):
-    """Raised when a degree sequence admits no simple-graph realization."""
 
 
 @dataclass(frozen=True)
@@ -134,14 +125,6 @@ def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
     np.right_shift(key, b, out=out[:, 0])
     np.bitwise_and(key, (1 << b) - 1, out=out[:, 1])
     return out
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense boolean adjacency matrix (built on demand)."""
-    a = np.zeros((g.n, g.n), dtype=bool)
-    a[g.edges[:, 0], g.edges[:, 1]] = True
-    a[g.edges[:, 1], g.edges[:, 0]] = True
-    return a
 
 
 def _interval_edges(first, last) -> np.ndarray:
@@ -254,76 +237,9 @@ def make_topology(
     return _interval_graph(n, first, last, family)
 
 
-def havel_hakimi(degseq) -> Graph:
-    """Realize a degree sequence as a simple graph, or fail.
-
-    Vertex i of the returned graph has degree exactly degseq[i].  Raises
-    :class:`InfeasibleDegreeSequenceError` (naming the step at which the
-    greedy construction got stuck) when the sequence is not graphical.
-    """
-    seq = np.asarray(degseq, dtype=np.int64)
-    n = len(seq)
-    if n < 1:
-        raise ValueError("empty degree sequence")
-    if seq.min() < 1 or seq.max() > n - 1:
-        raise ValueError("degrees must lie in [1, n-1]")
-    if seq.sum() % 2 != 0:
-        raise ValueError("degree sum must be even")
-
-    remaining = seq.copy()
-    edges: list[tuple[int, int]] = []
-    for step in range(n):
-        # highest remaining degree first; ties broken by vertex index
-        order = np.lexsort((np.arange(n), -remaining))
-        v = int(order[0])
-        d = int(remaining[v])
-        if d == 0:
-            break
-        targets = order[1 : d + 1]
-        if len(targets) < d or remaining[targets[-1]] <= 0:
-            raise InfeasibleDegreeSequenceError(
-                f"not graphical: step {step} needs {d} partners for vertex {v}"
-            )
-        remaining[v] = 0
-        remaining[targets] -= 1
-        for u in targets:
-            edges.append((v, int(u)))
-    g = make_graph(n, edges)
-    assert np.array_equal(g.degrees, seq)
-    return g
-
-
 def degree_functional(g: Graph) -> float:
     """(1/n) * sum over vertices of 1/sqrt(degree); in (0, 1]."""
     if g.degrees.min() == 0:
         v = int(np.argmin(g.degrees))
         raise ValueError(f"vertex {v} is isolated; degree functional undefined")
     return float(np.sum(1.0 / np.sqrt(g.degrees)) / g.n)
-
-
-def to_edge_list(g: Graph) -> str:
-    """Serialize as 'n m' header plus one 'u v' line per edge (u < v)."""
-    lines = [f"{g.n} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list(text: str) -> Graph:
-    """Parse :func:`to_edge_list` output; a malformed line raises ValueError naming it."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
-        raise ValueError("empty edge-list text")
-    no, ln = lines[0]
-    try:
-        n, m = (int(tok) for tok in ln.split())
-        if len(lines) - 1 != m:
-            raise ValueError(f"header promises {m} edges, found {len(lines) - 1}")
-        edges = []
-        for no, ln in lines[1:]:
-            u, v = (int(tok) for tok in ln.split())
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge ({u}, {v}) violates 0 <= u < v < {n}")
-            edges.append((u, v))
-    except ValueError as e:
-        raise ValueError(f"line {no}: {e}") from None
-    return make_graph(n, edges)

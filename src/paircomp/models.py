@@ -21,26 +21,18 @@ import numpy as np
 __all__ = [
     "check_permutation",
     "identity_permutation",
-    "reverse_permutation",
     "inverse_permutation",
-    "permute_matrix",
     "kt_distance",
     "inversion_table",
     "table_to_permutation",
     "NoisySorting",
     "make_noisy_sorting",
     "sample_sst_bands",
-    "scores",
     "BisoCheck",
     "is_biso",
-    "is_sst",
     "frobenius_error",
     "noisy_sorting_error",
     "check_comparison_matrix",
-    "matrix_to_csv",
-    "matrix_from_csv",
-    "permutation_to_line",
-    "permutation_from_line",
 ]
 
 SKEW_TOL = 1e-12
@@ -63,26 +55,12 @@ def identity_permutation(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
 
 
-def reverse_permutation(n: int) -> np.ndarray:
-    return np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
 def inverse_permutation(ranks) -> np.ndarray:
     """inv[r] = the item holding rank r."""
     p = check_permutation(ranks)
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p), dtype=np.int64)
     return inv
-
-
-def permute_matrix(m: np.ndarray, ranks) -> np.ndarray:
-    """Conjugate rows and columns: result[i, j] = m[ranks[i], ranks[j]].
-
-    With this convention make_noisy_sorting(pi, lam) equals
-    permute_matrix(make_noisy_sorting(identity, lam), pi).
-    """
-    p = check_permutation(ranks)
-    return m[np.ix_(p, p)]
 
 
 def _merge_levels(a: np.ndarray):
@@ -204,15 +182,6 @@ def sample_sst_bands(n: int, rng: np.random.Generator) -> np.ndarray:
     return m
 
 
-def scores(m: np.ndarray) -> np.ndarray:
-    """Per-item win probability against a uniformly random opponent."""
-    check_comparison_matrix(m)
-    n = m.shape[0]
-    if n < 2:
-        raise ValueError("scores need at least two items")
-    return (m.sum(axis=1) - 0.5) / (n - 1)
-
-
 @dataclass(frozen=True)
 class BisoCheck:
     violation: str | None = None  # the first violation; None when m is biso
@@ -241,22 +210,6 @@ def is_biso(m: np.ndarray, tol: float) -> BisoCheck:
             i, j = np.unravel_index(int(np.argmax(cols)), cols.shape)
             return BisoCheck(f"column {j} increases at row {i} -> {i + 1} by {cols[i, j]:.3g}")
     return BisoCheck()
-
-
-def is_sst(m: np.ndarray, tol: float) -> bool | None:
-    """Check SST membership via the score-sorted candidate permutation.
-
-    Returns True when conjugating by the score ranking lands in the
-    bivariate isotonic set (a certificate), False when it does not and
-    the scores are distinct (the candidate is forced), and None when the
-    check fails but tied scores leave other candidates untested.
-    """
-    tau = scores(m)
-    order = np.lexsort((np.arange(len(tau)), -tau))
-    if is_biso(m[np.ix_(order, order)], tol):
-        return True
-    ties = bool(np.any(np.diff(tau[order]) == 0.0))
-    return None if ties else False
 
 
 def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -303,28 +256,3 @@ def check_comparison_matrix(m: np.ndarray) -> None:
     t -= 1.0
     if np.abs(t, out=t).max(initial=0.0) > SKEW_TOL:
         raise ValueError("skew constraint M + M^T = ee^T violated")
-
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    rows = (",".join(format(v, ".17g") for v in row) for row in np.asarray(m))
-    return "\n".join(rows) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def permutation_to_line(ranks) -> str:
-    return ",".join(str(int(r)) for r in check_permutation(ranks)) + "\n"
-
-
-def permutation_from_line(line: str) -> np.ndarray:
-    return check_permutation([int(tok) for tok in line.strip().split(",")])

@@ -26,8 +26,6 @@ __all__ = [
     "observe",
     "empirical_scores",
     "sample_matrix",
-    "sample_to_text",
-    "sample_from_text",
 ]
 
 
@@ -39,21 +37,14 @@ class ObservationSample:
     values holds Y_ij in [0, 1] (the reverse direction is implied via
     Y_ji = 1 - Y_ij and is never stored).  assignment is the item-to-vertex
     permutation sigma that produced the pair set.  counts holds each item's
-    number of observed comparisons; it is trusted as given, and when omitted
-    it is counted from pairs.
+    number of observed comparisons; it is trusted as given.
     """
 
     n: int
     pairs: np.ndarray
     values: np.ndarray
     assignment: np.ndarray
-    counts: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.counts is None:
-            counts = np.bincount(self.pairs.ravel("K"), minlength=self.n)
-            counts.setflags(write=False)
-            object.__setattr__(self, "counts", counts)
+    counts: np.ndarray
 
     @property
     def num_pairs(self) -> int:
@@ -135,47 +126,3 @@ def sample_matrix(s: ObservationSample) -> tuple[np.ndarray, np.ndarray]:
     observed[i, j] = True
     observed[j, i] = True
     return y, observed
-
-
-def sample_to_text(s: ObservationSample) -> str:
-    lines = [f"{s.n} {s.num_pairs}"]
-    lines.extend(
-        f"{i} {j} {format(v, '.17g')}"
-        for (i, j), v in zip(s.pairs, s.values)
-    )
-    lines.append(",".join(str(int(r)) for r in s.assignment))
-    return "\n".join(lines) + "\n"
-
-
-def sample_from_text(text: str) -> ObservationSample:
-    """Parse :func:`sample_to_text` output; malformed input raises ValueError
-    naming its line."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
-        raise ValueError("empty sample text")
-    no, ln = lines[0]
-    try:
-        n, k = (int(tok) for tok in ln.split())
-        if not 0 <= k == len(lines) - 2:
-            raise ValueError(f"header promises {k} pairs, found {len(lines) - 2}")
-        pairs = np.empty((k, 2), dtype=np.int64, order="F")
-        values = np.empty(k, dtype=np.float64)
-        for r, (no, ln) in enumerate(lines[1 : k + 1]):
-            i, j, v = ln.split()
-            pairs[r] = (int(i), int(j))
-            values[r] = float(v)
-            if not 0 <= pairs[r, 0] < pairs[r, 1] < n:
-                raise ValueError(f"pair ({i}, {j}) needs 0 <= i < j < {n}")
-            if r > 0 and tuple(pairs[r]) <= tuple(pairs[r - 1]):
-                raise ValueError("pairs must be strictly increasing")
-            if not 0.0 <= values[r] <= 1.0:
-                raise ValueError(f"value {v} outside [0, 1]")
-        no, ln = lines[-1]
-        sigma = np.array([int(tok) for tok in ln.split(",")], dtype=np.int64)
-        if len(sigma) != n or not np.array_equal(np.sort(sigma), np.arange(n)):
-            raise ValueError(f"assignment must be a permutation of 0..{n - 1}")
-    except (ValueError, OverflowError) as e:
-        raise ValueError(f"line {no}: {e}") from None
-    pairs.setflags(write=False)
-    values.setflags(write=False)
-    return ObservationSample(n=n, pairs=pairs, values=values, assignment=sigma)

@@ -1,12 +1,91 @@
-"""Exact biso projections from the duals of isotonic regression.
+"""The tests' reference implementations.
 
-Independent of ``project_biso``'s Dykstra sweeps: scipy's NNLS and BVLS
+Small permutation, matrix and graph helpers the tests compare against or
+build inputs with, none of which the package itself calls, and the exact
+biso projections from the duals of isotonic regression.  The projections
+are independent of ``project_biso``'s Dykstra sweeps: scipy's NNLS and BVLS
 solve the dual, and each oracle returns its KKT residual so a caller can
 certify the answer before comparing against it.
 """
 
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
+
+from paircomp import Graph, check_comparison_matrix, check_permutation, make_graph
+
+
+def reverse_permutation(n: int) -> np.ndarray:
+    return np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def permute_matrix(m: np.ndarray, ranks) -> np.ndarray:
+    """Conjugate rows and columns: result[i, j] = m[ranks[i], ranks[j]].
+
+    With this convention make_noisy_sorting(pi, lam) equals
+    permute_matrix(make_noisy_sorting(identity, lam), pi).
+    """
+    p = check_permutation(ranks)
+    return m[np.ix_(p, p)]
+
+
+def scores(m: np.ndarray) -> np.ndarray:
+    """Per-item win probability against a uniformly random opponent."""
+    check_comparison_matrix(m)
+    n = m.shape[0]
+    if n < 2:
+        raise ValueError("scores need at least two items")
+    return (m.sum(axis=1) - 0.5) / (n - 1)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense boolean adjacency matrix (built on demand)."""
+    a = np.zeros((g.n, g.n), dtype=bool)
+    a[g.edges[:, 0], g.edges[:, 1]] = True
+    a[g.edges[:, 1], g.edges[:, 0]] = True
+    return a
+
+
+class InfeasibleDegreeSequenceError(ValueError):
+    """Raised when a degree sequence admits no simple-graph realization."""
+
+
+def havel_hakimi(degseq) -> Graph:
+    """Realize a degree sequence as a simple graph, or fail.
+
+    Vertex i of the returned graph has degree exactly degseq[i].  Raises
+    :class:`InfeasibleDegreeSequenceError` (naming the step at which the
+    greedy construction got stuck) when the sequence is not graphical.
+    """
+    seq = np.asarray(degseq, dtype=np.int64)
+    n = len(seq)
+    if n < 1:
+        raise ValueError("empty degree sequence")
+    if seq.min() < 1 or seq.max() > n - 1:
+        raise ValueError("degrees must lie in [1, n-1]")
+    if seq.sum() % 2 != 0:
+        raise ValueError("degree sum must be even")
+
+    remaining = seq.copy()
+    edges: list[tuple[int, int]] = []
+    for step in range(n):
+        # highest remaining degree first; ties broken by vertex index
+        order = np.lexsort((np.arange(n), -remaining))
+        v = int(order[0])
+        d = int(remaining[v])
+        if d == 0:
+            break
+        targets = order[1 : d + 1]
+        if len(targets) < d or remaining[targets[-1]] <= 0:
+            raise InfeasibleDegreeSequenceError(
+                f"not graphical: step {step} needs {d} partners for vertex {v}"
+            )
+        remaining[v] = 0
+        remaining[targets] -= 1
+        for u in targets:
+            edges.append((v, int(u)))
+    g = make_graph(n, edges)
+    assert np.array_equal(g.degrees, seq)
+    return g
 
 
 def triangle_differences(n):

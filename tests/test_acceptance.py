@@ -12,7 +12,6 @@ import pytest
 
 from paircomp import (
     ExperimentSpec,
-    adjacency_matrix,
     adversarial_pair,
     asp_estimate,
     frobenius_error,
@@ -33,7 +32,7 @@ from paircomp import (
     table_to_permutation,
     fit_slope,
 )
-from oracles import biso_projection_by_nnls
+from oracles import adjacency_matrix, biso_projection_by_nnls
 
 MASTER_SEED = 20250810
 

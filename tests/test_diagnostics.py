@@ -8,7 +8,6 @@ import pytest
 from paircomp import (
     GRAPH_FAMILIES,
     SearchBudgetError,
-    adjacency_matrix,
     adversarial_pair,
     kt_distance,
     make_graph,
@@ -21,6 +20,8 @@ from paircomp import (
     report_to_text,
 )
 from paircomp import diagnostics
+
+from oracles import adjacency_matrix
 
 
 def dense(m):

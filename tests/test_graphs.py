@@ -3,17 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from paircomp import (
-    InfeasibleDegreeSequenceError,
-    adjacency_matrix,
-    degree_functional,
-    from_edge_list,
-    havel_hakimi,
-    make_graph,
-    make_topology,
-    to_edge_list,
-)
+from paircomp import degree_functional, make_graph, make_topology
 from paircomp.graphs import _interval_graph, sort_pairs
+
+from oracles import InfeasibleDegreeSequenceError, adjacency_matrix, havel_hakimi
 
 ALL_FAMILIES = [
     ("complete", 9, {}),
@@ -209,37 +202,6 @@ def test_make_graph_validation():
     edges[flip] = edges[flip][:, ::-1]
     g = make_graph(9, edges)
     assert g.edges.tolist() == sorted(sorted(e) for e in edges.tolist())
-
-
-def test_edge_list_round_trip():
-    g = make_topology("clique_plus_path", 10)
-    text = to_edge_list(g)
-    first = text.splitlines()[0]
-    assert first == f"{g.n} {g.num_edges}"
-    h = from_edge_list(text)
-    assert h.n == g.n
-    assert np.array_equal(h.edges, g.edges)
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "empty edge-list text"),
-        ("5\n", "line 1: not enough values"),
-        ("3 1 7\n0 1\n", "line 1: too many values"),
-        ("\n3 x\n0 1\n", "line 2: invalid literal"),
-        ("3 2\n0 1\n", "line 1: header promises 2 edges, found 1"),
-        ("3 1\n0 1 2\n", "line 2: too many values"),
-        ("3 1\n\n0\n", "line 3: not enough values"),
-        ("3 1\n0 x\n", "line 2: invalid literal"),
-        ("3 2\n0 1\n1 0\n", "line 3: edge \\(1, 0\\) violates 0 <= u < v < 3"),
-        ("3 1\n0 3\n", "line 2: edge \\(0, 3\\) violates"),
-        ("3 1\n-1 2\n", "line 2: edge \\(-1, 2\\) violates"),
-    ],
-)
-def test_from_edge_list_names_the_faulty_line(text, message):
-    with pytest.raises(ValueError, match=message):
-        from_edge_list(text)
 
 
 def test_edges_are_immutable():

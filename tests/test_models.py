@@ -14,21 +14,15 @@ from paircomp import (
     inverse_permutation,
     inversion_table,
     is_biso,
-    is_sst,
     kt_distance,
     make_noisy_sorting,
-    matrix_from_csv,
-    matrix_to_csv,
     noisy_sorting_error,
-    permutation_from_line,
-    permutation_to_line,
-    permute_matrix,
-    reverse_permutation,
     sample_sst_bands,
-    scores,
     table_to_permutation,
 )
 from paircomp.models import SKEW_TOL
+
+from oracles import permute_matrix, reverse_permutation, scores
 
 
 def kt_bruteforce(p, q):
@@ -382,24 +376,6 @@ def test_is_biso_cases():
     assert is_biso(m, 0.1).violation == "column 0 increases at row 1 -> 2 by 0.21"
 
 
-def test_is_sst_tristate():
-    assert is_sst(make_noisy_sorting(np.array([2, 0, 1, 3]), 0.3), 1e-9) is True
-    # rock-paper-scissors: all scores tie and the candidate fails -> inconclusive
-    rps = np.array([[0.5, 0.9, 0.1], [0.1, 0.5, 0.9], [0.9, 0.1, 0.5]])
-    assert is_sst(rps, 1e-9) is None
-    # distinct scores but intransitive structure -> definitely not SST
-    m = np.array(
-        [
-            [0.5, 0.9, 0.2, 0.9],
-            [0.1, 0.5, 0.8, 0.7],
-            [0.8, 0.2, 0.5, 0.6],
-            [0.1, 0.3, 0.4, 0.5],
-        ]
-    )
-    assert len(np.unique(scores(m))) == 4
-    assert is_sst(m, 1e-9) is False
-
-
 def test_frobenius_error_examples():
     m = make_noisy_sorting(identity_permutation(3), 0.4)
     m2 = make_noisy_sorting(reverse_permutation(3), 0.4)
@@ -451,19 +427,3 @@ def test_skew_check_holds_one_matrix_and_matches_the_two_temporary_form():
             assert result is None, delta
         outcomes.add(violated)
     assert outcomes == {False, True}
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_matrix_csv_round_trip():
-    m = sample_sst_bands(8, np.random.default_rng(12))
-    text = matrix_to_csv(m)
-    assert np.array_equal(matrix_from_csv(text), m)  # 17 sig digits: exact
-
-
-def test_permutation_line_round_trip():
-    p = np.array([3, 0, 2, 1])
-    assert np.array_equal(permutation_from_line(permutation_to_line(p)), p)

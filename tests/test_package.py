@@ -12,10 +12,24 @@ from pathlib import Path
 import paircomp
 from paircomp.cli import main
 
+import oracles
+
 # the CLI module is the console entry point, not part of the library API
 LIBRARY_MODULES = sorted(
     name for _, name, _ in pkgutil.iter_modules(paircomp.__path__) if name != "cli"
 )
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# names that left the public API: deleted, or moved to the tests' oracles
+DELETED = {
+    "sample_to_text", "sample_from_text", "to_edge_list", "from_edge_list",
+    "matrix_to_csv", "matrix_from_csv", "permutation_to_line", "permutation_from_line",
+    "is_sst", "inversion_set", "row_block_average",
+}
+MOVED = {
+    "havel_hakimi", "InfeasibleDegreeSequenceError", "adjacency_matrix",
+    "permute_matrix", "scores", "reverse_permutation",
+}
 
 
 def test_package_reexports_exactly_each_module_all():
@@ -30,6 +44,63 @@ def test_package_reexports_exactly_each_module_all():
     for module in modules:
         for name in module.__all__:
             assert getattr(paircomp, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_removed_names_are_gone_and_moved_ones_live_in_the_oracles():
+    for name in LIBRARY_MODULES:
+        module = importlib.import_module(f"paircomp.{name}")
+        assert not (DELETED | MOVED) & set(module.__all__), name
+        assert not (DELETED | MOVED) & set(vars(module)), name
+    assert not (DELETED | MOVED) & set(vars(paircomp))
+    for name in MOVED:
+        assert getattr(oracles, name).__module__ == "oracles", name
+    assert issubclass(oracles.InfeasibleDegreeSequenceError, ValueError)
+
+
+def _readme_section(heading: str) -> list[str]:
+    """README.md's lines under heading, up to the next heading outside a code block."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(heading) + 1
+    fenced = False
+    for end in range(start, len(lines)):
+        fenced ^= lines[end].startswith("```")
+        if not fenced and lines[end].startswith("#"):
+            return lines[start:end]
+    return lines[start:]
+
+
+def _ticked(text: str) -> list[str]:
+    return text.split("`")[1::2]
+
+
+def test_readme_public_api_lists_each_module_all():
+    listed = {}
+    for line in _readme_section("## Public API"):
+        if line.startswith("- `paircomp."):
+            module, names = line[2:].split(":", 1)
+            listed[_ticked(module)[0]] = _ticked(names)
+    assert listed == {
+        f"paircomp.{name}": importlib.import_module(f"paircomp.{name}").__all__
+        for name in LIBRARY_MODULES
+    }
+    removed = [
+        _ticked(line)[0].partition("(")[0]
+        for line in _readme_section("### Removed names")
+        if line.startswith("- ")
+    ]
+    assert sorted(removed) == sorted(DELETED | MOVED)
+
+
+def test_readme_library_sketch_runs_as_written():
+    section = "\n".join(_readme_section("## Library sketch"))
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    lam_line, report_line = out.getvalue().splitlines()
+    assert 0.0 <= float(lam_line.split()[0]) <= 0.5
+    # star on 12 vertices: alpha = 11 leaves; the complement is K_11 plus the hub, beta = 5 * 6
+    assert report_line.split() == ["11", "30", str(max(11 * 10, 30) / (4 * 12**2))]
 
 
 # Runs in a fresh interpreter: checks that importing the CLI leaves scipy
