@@ -99,11 +99,11 @@ def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
     Each row becomes one integer key, min(u, v) << b | max(u, v), where
     b = max(1, (n - 1).bit_length()) bits hold any vertex of 0..n-1, so the
     key orders rows lexicographically and one 1-D sort replaces a row sort
-    plus a two-key lexsort; it is skipped when the keys already increase
-    strictly.  The key is int32 while 2b < 31 (n <= 32768), halving the sort's
-    traffic, else int64; rows come back int64, column-major.  With validate,
-    endpoints outside 0..n-1 (checked before the key narrows them), self-loops
-    and duplicate rows raise ValueError.
+    plus a two-key lexsort.  The key is int32 while 2b < 31 (n <= 32768),
+    halving the sort's traffic, else int64; rows come back int64,
+    column-major.  With validate, endpoints outside 0..n-1 (checked before the
+    key narrows them), self-loops and duplicate rows (equal neighbours in the
+    sorted key) raise ValueError.
     """
     b = max(1, (n - 1).bit_length())
     if validate and len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
@@ -116,11 +116,9 @@ def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
     key <<= b
     key |= hi
     del hi  # one m-long array fewer under the unpacked copy
-    if not np.all(key[1:] > key[:-1]):
-        key.sort()
-        # strictly increasing keys have no duplicates: only a sorted key is checked
-        if validate and np.any(key[1:] == key[:-1]):
-            raise ValueError("duplicate edges are not allowed")
+    key.sort()
+    if validate and np.any(key[1:] == key[:-1]):
+        raise ValueError("duplicate edges are not allowed")
     out = np.empty((len(key), 2), dtype=np.int64, order="F")
     np.right_shift(key, b, out=out[:, 0])
     np.bitwise_and(key, (1 << b) - 1, out=out[:, 1])

@@ -32,7 +32,6 @@ __all__ = [
     "is_biso",
     "frobenius_error",
     "noisy_sorting_error",
-    "check_comparison_matrix",
 ]
 
 SKEW_TOL = 1e-12
@@ -242,17 +241,3 @@ def noisy_sorting_error(n: int, kt: int, lam_a: float, lam_b: float) -> float:
         (hi_a - lo_b) ** 2 + (lo_a - hi_b) ** 2
     )
     return float(total / n**2)
-
-
-def check_comparison_matrix(m: np.ndarray) -> None:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"comparison matrix must be square, got {m.shape}")
-    if m.min() < -SKEW_TOL or m.max() > 1.0 + SKEW_TOL:
-        raise ValueError("entries must lie in [0, 1]")
-    if np.abs(np.diagonal(m) - 0.5).max(initial=0.0) > SKEW_TOL:
-        raise ValueError("diagonal entries must equal 1/2")
-    t = m + m.T  # one n x n temporary, updated in place
-    t -= 1.0
-    if np.abs(t, out=t).max(initial=0.0) > SKEW_TOL:
-        raise ValueError("skew constraint M + M^T = ee^T violated")

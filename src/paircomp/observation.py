@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _key_dtype, sort_pairs
-from .models import (
-    NoisySorting,
-    check_comparison_matrix,
-    check_permutation,
-    inverse_permutation,
-)
+from .models import SKEW_TOL, NoisySorting, check_permutation, inverse_permutation
 
 __all__ = [
     "ObservationSample",
@@ -35,15 +30,14 @@ class ObservationSample:
 
     pairs holds the observed (i, j) with i < j, lexicographically sorted;
     values holds Y_ij in [0, 1] (the reverse direction is implied via
-    Y_ji = 1 - Y_ij and is never stored).  assignment is the item-to-vertex
-    permutation sigma that produced the pair set.  counts holds each item's
-    number of observed comparisons; it is trusted as given.
+    Y_ji = 1 - Y_ij and is never stored).  counts holds each item's number
+    of observed comparisons; it is trusted as given.  The assignment sigma
+    that produced the pair set stays with the caller.
     """
 
     n: int
     pairs: np.ndarray
     values: np.ndarray
-    assignment: np.ndarray
     counts: np.ndarray
 
     @property
@@ -65,17 +59,19 @@ def observe(
 ) -> ObservationSample:
     """Draw one observation sample of m on the graph under assignment sigma.
 
-    m is a dense comparison matrix, checked here, or a :class:`NoisySorting`
-    model, valid by construction and read at the observed pairs only.
+    m is a :class:`NoisySorting` model, valid by construction, or a square
+    dense comparison matrix.  Either is read only at the observed pairs
+    (i, j) with i < j, as Y_ji = 1 - Y_ij is implied; a dense matrix is
+    checked there alone, its gathered entries to lie in [0, 1], and its
+    diagonal, lower triangle and unobserved pairs are never read.
     mode 'bernoulli' draws Y_ij ~ Ber(M_ij) independently per observed pair
     and requires rng; mode 'expectation' sets Y_ij = M_ij exactly (the
     infinite-sample-per-pair test hook).
     """
-    if isinstance(m, NoisySorting):
-        size = len(m.ranks)
-    else:
-        check_comparison_matrix(m)
-        size = m.shape[0]
+    dense = not isinstance(m, NoisySorting)
+    if dense and (m.ndim != 2 or m.shape[0] != m.shape[1]):
+        raise ValueError(f"comparison matrix must be square, got {m.shape}")
+    size = m.shape[0] if dense else len(m.ranks)
     sigma = check_permutation(sigma)
     if size != g.n or len(sigma) != g.n:
         raise ValueError(f"size mismatch: matrix {size}, graph {g.n}, sigma {len(sigma)}")
@@ -89,13 +85,18 @@ def observe(
     pairs = sort_pairs(inv[g.edges], g.n)
     # the gather is a fresh array, so a Bernoulli draw overwrites it with 1.0 or 0.0
     values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
+    # before any draw; NaN fails every comparison, so it fails this check too
+    if dense and not (
+        values.min(initial=0.5) >= -SKEW_TOL and values.max(initial=0.5) <= 1.0 + SKEW_TOL
+    ):
+        raise ValueError("entries must lie in [0, 1]")
     if mode == "bernoulli":
         np.less(rng.random(len(values)), values, out=values)
     # item i is compared along exactly the edges at its vertex sigma(i)
     counts = g.degrees[sigma]
     for a in (pairs, values, counts):
         a.setflags(write=False)
-    return ObservationSample(n=g.n, pairs=pairs, values=values, assignment=sigma, counts=counts)
+    return ObservationSample(n=g.n, pairs=pairs, values=values, counts=counts)
 
 
 def empirical_scores(s: ObservationSample) -> np.ndarray:

@@ -81,7 +81,6 @@ def test_asp_lambda_mle_cases():
         n=2,
         pairs=np.empty((0, 2), dtype=np.int64),
         values=np.empty(0),
-        assignment=ident(2),
         counts=np.zeros(2, dtype=np.int64),
     )
     with pytest.raises(ValueError):
@@ -113,9 +112,7 @@ def test_asp_lambda_mle_alignment_matches_where_formula_bit_for_bit():
             got = np.subtract(inverted, y)
             np.abs(got, out=got)
             assert got.tobytes() == ref.tobytes()
-            s = ObservationSample(
-                n=n, pairs=pairs, values=y, assignment=ident(n), counts=np.full(n, n - 1)
-            )
+            s = ObservationSample(n=n, pairs=pairs, values=y, counts=np.full(n, n - 1))
             assert asp_lambda_mle(s, pi) == min(max(float(ref.mean() - 0.5), 0.0), 0.5)
 
 

@@ -16,6 +16,7 @@ from paircomp import (
     GRAPH_FAMILIES,
     observe,
     sample_matrix,
+    sample_sst_bands,
 )
 
 from oracles import adjacency_matrix, scores
@@ -99,15 +100,45 @@ def _noisy_sorting_4(entries):
     [
         (np.full((4, 3), 0.5), "comparison matrix must be square, got (4, 3)"),
         (_noisy_sorting_4({(0, 1): 1.2, (1, 0): -0.2}), "entries must lie in [0, 1]"),
-        (_noisy_sorting_4({(2, 2): 0.6}), "diagonal entries must equal 1/2"),
-        (_noisy_sorting_4({(0, 1): 0.9}), "skew constraint M + M^T = ee^T violated"),
+        # path edge 0-1 is observed under the identity
+        (_noisy_sorting_4({(0, 1): np.nan}), "entries must lie in [0, 1]"),
     ],
-    ids=["not-square", "outside-unit-interval", "diagonal", "skew"],
+    ids=["not-square", "outside-unit-interval", "nan-at-an-observed-pair"],
 )
 def test_observe_rejects_invalid_matrix(m, message):
-    with pytest.raises(ValueError) as err:
-        observe(m, make_topology("path", 4), identity_permutation(4), "expectation")
-    assert str(err.value) == message
+    for mode in ("bernoulli", "expectation"):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as err:
+            observe(m, make_topology("path", 4), identity_permutation(4), mode, rng)
+        assert str(err.value) == message, mode
+        assert rng.bit_generator.state == state, mode  # rejected before any draw
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+@pytest.mark.parametrize("garbage", [np.nan, 7.0])
+def test_observe_never_reads_a_dense_entry_outside_the_observed_pairs(garbage, mode):
+    for family, n in (("two_cliques", 16), ("power_law", 33), ("cycle", 40)):
+        g = make_topology(family, n)
+        m = sample_sst_bands(n, np.random.default_rng(n))
+        sigma = assign_random(g, np.random.default_rng(1))
+        valid = observe(m, g, sigma, mode, np.random.default_rng(2))
+        read = np.zeros((n, n), dtype=bool)
+        read[valid.pairs[:, 0], valid.pairs[:, 1]] = True
+        # garbage on the diagonal, the lower triangle and every unobserved upper pair
+        s = observe(np.where(read, m, garbage), g, sigma, mode, np.random.default_rng(2))
+        for a, b in ((valid.pairs, s.pairs), (valid.values, s.values), (valid.counts, s.counts)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_dense_observe_on_a_sparse_graph_allocates_no_matrix_sized_temporary(mode):
+    n = 2048
+    g = make_topology("cycle", n)
+    rng = np.random.default_rng(6)
+    m = sample_sst_bands(n, rng)  # 8n^2 bytes = 33.6 MB
+    _, peak = traced_peak(observe, m, g, assign_random(g, rng), mode, rng)
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
@@ -158,9 +189,7 @@ def test_empirical_scores_are_bit_identical_to_the_bincount_formula():
     ]
     uniform = rng.random(g.num_edges)  # non-dyadic values
     uniform.setflags(write=False)  # frozen, as observe leaves its values
-    samples.append(
-        ObservationSample(g.n, g.edges, uniform, identity_permutation(g.n), counts=g.degrees)
-    )
+    samples.append(ObservationSample(g.n, g.edges, uniform, counts=g.degrees))
     for s in samples:
         assert empirical_scores(s).tobytes() == reference(s).tobytes()
 
@@ -170,7 +199,6 @@ def test_empirical_scores_rejects_unobserved_item():
         n=3,
         pairs=np.array([[0, 1]]),
         values=np.array([1.0]),
-        assignment=identity_permutation(3),
         counts=np.array([1, 1, 0]),
     )
     with pytest.raises(ValueError, match="item 2"):
