@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .models import NoisySorting, check_permutation, inverse_permutation
+from .models import NoisySorting, _invert, check_permutation
 from .observation import ObservationSample, empirical_scores
 
 __all__ = [
     "asp_sort",
     "asp_lambda_mle",
     "asp_estimate",
-    "pav_isotonic",
     "BisoProjection",
     "project_biso",
     "BlockPartition",
@@ -43,7 +42,7 @@ def asp_sort(tau_hat) -> np.ndarray:
     tau = np.asarray(tau_hat, dtype=np.float64)
     if not np.all(np.isfinite(tau)):
         raise ValueError("scores must be finite")
-    return inverse_permutation(np.argsort(-tau, kind="stable"))
+    return _invert(np.argsort(-tau, kind="stable"))
 
 
 def asp_lambda_mle(s: ObservationSample, pi) -> float:
@@ -75,48 +74,36 @@ def asp_estimate(s: ObservationSample) -> NoisySorting:
 # ---------------------------------------------------------------------------
 
 
-def pav_isotonic(values, weights=None) -> np.ndarray:
-    """Weighted least-squares projection onto the monotone cone (PAV).
+def _pav_chains(y: np.ndarray, w: np.ndarray, new: list) -> np.ndarray:
+    """Weighted nondecreasing PAV of chains laid end to end.
 
-    Algorithm 1 of Busing (2022), "Monotone Regression: A Simple and Fast
-    O(n) PAVA Implementation", J. Stat. Softw. 102(1),
-    doi:10.18637/jss.v102.c01, as scipy.optimize.isotonic_regression runs
-    it: blocks pool on >=, a pooled block's sum starts from the stored means
-    times weights, and it absorbs forward, then backward.  The floating-point
-    operations come in scipy's order, so every fit equals scipy's bit for
-    bit.  A nonincreasing fit is pav_isotonic(y[::-1], w[::-1])[::-1].
-    Raises ValueError unless values are 1-D and finite and weights (default
-    all ones) has one finite positive entry per value.
+    new has len(y) + 1 flags: new[i] marks the first entry of a chain, and
+    new[0] and new[len(y)] are True.  Algorithm 1 of Busing (2022),
+    "Monotone Regression: A Simple and Fast O(n) PAVA Implementation",
+    J. Stat. Softw. 102(1), doi:10.18637/jss.v102.c01, as
+    scipy.optimize.isotonic_regression runs it: blocks pool on >=, a pooled
+    block's sum starts from the stored means times weights, and it absorbs
+    forward, then backward.  A block never pools across a chain start, so
+    each chain's fit is scipy's on that chain, bit for bit.  y and w are
+    finite and w positive, unchecked.
     """
-    y = np.asarray(values, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("values must be one-dimensional")
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != y.shape:
-        raise ValueError(f"weights must have shape {y.shape}, got {w.shape}")
-    if not (np.isfinite(y).all() and np.isfinite(w).all()):
-        raise ValueError("values and weights must be finite")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
     x, wx = y.tolist(), w.tolist()
     n = len(x)
-    if n == 0:
-        return y.copy()
     # blocks 0..b: x[k] and wx[k] hold block k's mean and weight, r[k] its first entry
     r = list(range(n + 1))
     b, i = 0, 1
     while i < n:
         xb, wb = x[i], wx[i]
-        if x[b] >= xb:  # pool with the last block
+        if x[b] >= xb and not new[i]:  # pool with the last block
             sb = wx[b] * x[b] + wb * xb
             wb += wx[b]
             xb = sb / wb
-            while i < n - 1 and xb >= x[i + 1]:  # absorb forward
+            while not new[i + 1] and xb >= x[i + 1]:  # absorb forward
                 i += 1
                 sb += wx[i] * x[i]
                 wb += wx[i]
                 xb = sb / wb
-            while b > 0 and x[b - 1] >= xb:  # absorb backward
+            while not new[r[b]] and x[b - 1] >= xb:  # absorb backward
                 b -= 1
                 sb += wx[b] * x[b]
                 wb += wx[b]
@@ -135,14 +122,6 @@ class BisoProjection:
     matrix: np.ndarray
     converged: bool
     iterations: int
-
-
-def _pav_chains(z: np.ndarray, w: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """Weighted nondecreasing PAV of every chain of z at once, chains laid
-    end to end by nondecreasing id.  Chain k is shifted up by
-    k * (ptp(z) + 1), so PAV never pools across a chain boundary."""
-    offset = chain * (z.max(initial=0.0) - z.min(initial=0.0) + 1.0)
-    return pav_isotonic(z + offset, w) - offset
 
 
 def project_biso(
@@ -170,17 +149,16 @@ def project_biso(
 
     One clip suffices: bounded isotonic regression is the unbounded fit
     clipped to the bounds.  The unbounded fit is Dykstra over the row and
-    column cones, one correction array each, and each half-step is one
-    batched PAV call (:func:`_pav_chains`, Busing's 2022 O(n) PAVA in
-    :func:`pav_isotonic`) whose chain offsets round the fit by about
-    g * ulp(ptp + 1), far below tol.  Column chains run right to left, each
-    bottom-up, so both fits are nondecreasing, and the columns come out
-    exactly monotone: a fit minus one constant, rounded, keeps its order.
-    Stops when a sweep moves the expanded matrix less than tol in Frobenius
-    norm and the row monotonicity residual is at most tol/2, so the expanded
-    output passes ``is_biso(matrix, tol)``; at max_iter the last iterate is
-    returned with converged=False.  iterations counts sweeps.  x must be
-    finite.
+    column cones, one correction array each, and each half-step is one PAV
+    pass over all its chains (:func:`_pav_chains`, Busing's 2022 O(n) PAVA):
+    each chain's fit is scipy's, bit for bit.  Column chains run right to
+    left, each bottom-up, so both fits are nondecreasing, and the columns
+    come out exactly monotone.  Stops when a sweep moves the expanded matrix
+    less than tol in Frobenius norm and the row monotonicity residual is at
+    most tol/2, so the expanded output passes ``is_biso(matrix, tol)``; at
+    max_iter the last iterate is returned with converged=False.  A tol below
+    about 1e-15 is under float64 rounding and may return converged=False.
+    iterations counts sweeps.  x must be finite.
     """
     x0 = np.asarray(x, dtype=np.float64)
     if x0.ndim != 2 or x0.shape[0] != x0.shape[1]:
@@ -200,8 +178,10 @@ def project_biso(
     a, b = np.triu_indices(g, 1)  # row-major: row chains are contiguous
     by_col = np.lexsort((-a, -b))  # the same entries, columns right to left, each bottom-up
     w = (merged[a] * merged[b]).astype(np.float64)
-    w_col, col_chain = w[by_col], -b[by_col]
+    w_col, col = w[by_col], b[by_col]
     same_row = a[1:] == a[:-1]
+    new_row = np.r_[True, ~same_row, True].tolist()
+    new_col = np.r_[True, col[1:] != col[:-1], True].tolist()
     u = t[starts[a], starts[b]]
     p = np.zeros_like(u)
     q = np.zeros_like(u)
@@ -209,11 +189,11 @@ def project_biso(
     while not converged and it < max_iter:
         it += 1
         z = u + p
-        y = _pav_chains(z, w, a)
+        y = _pav_chains(z, w, new_row)
         p = z - y
         z = y + q
         u_new = np.empty_like(u)
-        u_new[by_col] = _pav_chains(z[by_col], w_col, col_chain)
+        u_new[by_col] = _pav_chains(z[by_col], w_col, new_col)
         q = z - u_new
         move = np.sqrt(2.0 * np.sum(w * (u_new - u) ** 2))
         u = u_new

@@ -56,9 +56,13 @@ def identity_permutation(n: int) -> np.ndarray:
 
 def inverse_permutation(ranks) -> np.ndarray:
     """inv[r] = the item holding rank r."""
-    p = check_permutation(ranks)
-    inv = np.empty_like(p)
-    inv[p] = np.arange(len(p), dtype=np.int64)
+    return _invert(check_permutation(ranks))
+
+
+def _invert(p: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """inverse_permutation of a p known to be a permutation, in dtype."""
+    inv = np.empty(len(p), dtype=dtype)
+    inv[p] = np.arange(len(p), dtype=dtype)
     return inv
 
 

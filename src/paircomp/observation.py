@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _key_dtype, sort_pairs
-from .models import SKEW_TOL, NoisySorting, check_permutation, inverse_permutation
+from .models import SKEW_TOL, NoisySorting, _invert, check_permutation
 
 __all__ = [
     "ObservationSample",
@@ -81,7 +81,7 @@ def observe(
         raise ValueError("bernoulli mode requires a seeded generator")
 
     # gathered in the key's width: an int32 inverse halves the (m, 2) temporary
-    inv = inverse_permutation(sigma).astype(_key_dtype(g.n), copy=False)
+    inv = _invert(sigma, _key_dtype(g.n))
     pairs = sort_pairs(inv[g.edges], g.n)
     # the gather is a fresh array, so a Bernoulli draw overwrites it with 1.0 or 0.0
     values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)

@@ -23,7 +23,6 @@ from paircomp import (
     make_noisy_sorting,
     make_topology,
     observe,
-    pav_isotonic,
     project_biso,
     sample_matrix,
     sample_sst_bands,
@@ -149,19 +148,23 @@ def test_asp_result_is_consistent():
 # ---------------------------------------------------------------------------
 
 
+def pav(y, w=None, new=None):
+    """The PAV kernel on y, one chain unless new flags more."""
+    y = np.asarray(y, dtype=np.float64)
+    w = np.ones_like(y) if w is None else np.asarray(w, dtype=np.float64)
+    new = [True] + [False] * (len(y) - 1) + [True] if new is None else new
+    return estimators._pav_chains(y, w, new)
+
+
 def test_pav_examples():
-    assert np.allclose(pav_isotonic([1, 2, 3]), [1, 2, 3])
-    assert np.allclose(pav_isotonic([3, 1]), [2, 2])
-    assert np.allclose(pav_isotonic([5, 3, 8]), [4, 4, 8])
+    assert np.allclose(pav([1, 2, 3]), [1, 2, 3])
+    assert np.allclose(pav([3, 1]), [2, 2])
+    assert np.allclose(pav([5, 3, 8]), [4, 4, 8])
     # weighted pooling: minimize (x-1)^2 + 3 y^2 with x <= y
-    assert np.allclose(pav_isotonic([1, 0], weights=[1, 3]), [0.25, 0.25])
-
-
-def test_pav_directions_and_validation():
-    with pytest.raises(ValueError):
-        pav_isotonic([1, 2], weights=[1.0])
-    with pytest.raises(ValueError):
-        pav_isotonic([1, 2], weights=[1.0, 0.0])
+    assert np.allclose(pav([1, 0], w=[1, 3]), [0.25, 0.25])
+    assert pav([]).shape == (0,)
+    # a chain start stops the pooling: chains [3, 1] and [0, 2]
+    assert np.array_equal(pav([3, 1, 0, 2], new=[True, False, True, False, True]), [2, 2, 0, 2])
 
 
 def test_pav_block_mean_semantics_and_idempotence():
@@ -169,9 +172,9 @@ def test_pav_block_mean_semantics_and_idempotence():
     for _ in range(20):
         y = rng.random(int(rng.integers(1, 40)))
         w = rng.random(len(y)) + 0.1
-        fit = pav_isotonic(y, weights=w)
+        fit = pav(y, w)
         assert np.all(np.diff(fit) >= -1e-12)
-        assert np.allclose(pav_isotonic(fit, weights=w), fit, atol=1e-12)
+        assert np.allclose(pav(fit, w), fit, atol=1e-12)
         # each constant block carries the weighted mean of its inputs
         blocks = np.flatnonzero(np.diff(fit) > 1e-12)
         for lo, hi in zip(np.r_[0, blocks + 1], np.r_[blocks, len(y) - 1]):
@@ -179,26 +182,24 @@ def test_pav_block_mean_semantics_and_idempotence():
             assert fit[lo] == pytest.approx(np.average(y[seg], weights=w[seg]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_pav_rejects_non_finite_input(bad):
-    with pytest.raises(ValueError, match="values and weights must be finite"):
-        pav_isotonic([1.0, bad, 0.5])
-    with pytest.raises(ValueError, match="values and weights must be finite"):
-        pav_isotonic([2.0, 1.0], weights=[1.0, bad])
-
-
 def test_pav_chains_never_decrease_inside_a_chain():
-    # project_biso tests only the rows for monotonicity: a chain's fit is a
-    # monotone PAV fit minus one offset, and rounding keeps that order exactly
+    # each chain's fit is that chain's own fit, exactly, however far apart the
+    # chains' scales lie, and never decreases: project_biso tests only the
+    # rows for monotonicity and relies on it for the columns
     rng = np.random.default_rng(11)
     for _ in range(300):
         lengths = rng.integers(1, 12, int(rng.integers(1, 8)))
-        chain = np.repeat(np.arange(len(lengths)) - int(rng.integers(0, 20)), lengths)
-        z = rng.normal(size=len(chain)) * 10.0 ** int(rng.integers(-9, 7))
+        scales = 10.0 ** rng.integers(-9, 7, len(lengths))
+        z = rng.normal(size=lengths.sum()) * np.repeat(scales, lengths)
         z[rng.random(len(z)) < 0.3] = 0.5  # ties
         w = rng.integers(1, 50, len(z)).astype(np.float64)
-        out = estimators._pav_chains(z, w, chain)
-        assert np.all(np.diff(out)[chain[1:] == chain[:-1]] >= 0.0)
+        ends = np.cumsum(lengths)
+        new = np.zeros(ends[-1] + 1, dtype=bool)
+        new[np.r_[0, ends]] = True
+        out = pav(z, w, new.tolist())
+        for lo, hi in zip(np.r_[0, ends[:-1]], ends):
+            assert np.array_equal(out[lo:hi], pav(z[lo:hi], w[lo:hi]))
+            assert np.all(np.diff(out[lo:hi]) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,14 @@ def test_project_nonexpansive():
         px = project_biso(x, max_iter=100_000).matrix
         py = project_biso(y, max_iter=100_000).matrix
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-7
+
+
+def test_project_converges_near_the_float64_floor():
+    # each PAV fit rounds only as scipy's does, so a tol of 1e-14 is reachable
+    x = np.random.default_rng(3).random((16, 16))
+    proj = project_biso(x, tol=1e-14, max_iter=2000)
+    assert proj.converged
+    assert is_biso(proj.matrix, 1e-14)
 
 
 def test_project_reports_nonconvergence():

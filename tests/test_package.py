@@ -24,7 +24,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 DELETED = {
     "sample_to_text", "sample_from_text", "to_edge_list", "from_edge_list",
     "matrix_to_csv", "matrix_from_csv", "permutation_to_line", "permutation_from_line",
-    "is_sst", "inversion_set", "row_block_average", "check_comparison_matrix",
+    "is_sst", "inversion_set", "row_block_average", "check_comparison_matrix", "pav_isotonic",
 }
 MOVED = {
     "havel_hakimi", "InfeasibleDegreeSequenceError", "adjacency_matrix",

@@ -1,8 +1,9 @@
-"""pav_isotonic against scipy's PAV, bit for bit, on random inputs.
+"""The PAV kernel against scipy's PAV, bit for bit, on random chains.
 
 scipy.optimize.isotonic_regression runs the same algorithm (Busing 2022) in
-the same floating-point order, so every fit must match it byte for byte.
-scipy is a test-only reference here; paircomp itself does not import it.
+the same floating-point order, so the kernel's fit of every chain laid end
+to end must match scipy's fit of that chain alone byte for byte.  scipy is a
+test-only reference here; paircomp itself does not import it.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
-from paircomp import pav_isotonic
+from paircomp.estimators import _pav_chains
 
 fixed = settings(derandomize=True, database=None, deadline=None, max_examples=250)
 
@@ -24,19 +25,25 @@ weights_for = {
 
 
 @st.composite
-def pav_input(draw):
-    n = draw(st.integers(0, 60))
+def chain(draw):
+    n = draw(st.integers(0, 30))
     values = draw(st.lists(value, min_size=n, max_size=n))
     weights = draw(weights_for[draw(st.sampled_from(sorted(weights_for)))](len(values)))
     return np.array(values, dtype=np.float64), weights
 
 
 @fixed
-@given(pav_input())
-def test_pav_matches_scipy_bit_for_bit(case):
-    values, weights = case
-    fit = pav_isotonic(values, weights)
-    ref = isotonic_regression(values, weights=weights).x
-    assert fit.dtype == ref.dtype == np.float64
-    assert fit.shape == ref.shape == values.shape
-    assert fit.tobytes() == ref.tobytes()
+@given(st.lists(chain(), min_size=1, max_size=8))
+def test_pav_matches_scipy_bit_for_bit(chains):
+    y = np.concatenate([values for values, _ in chains])
+    w = np.concatenate([np.ones(len(v)) if wt is None else np.array(wt) for v, wt in chains])
+    lengths = [len(values) for values, _ in chains]
+    new = np.zeros(len(y) + 1, dtype=bool)
+    new[np.cumsum([0] + lengths)] = True
+    fit = _pav_chains(y, w, new.tolist())
+    assert fit.dtype == np.float64
+    assert fit.shape == y.shape
+    for part, (values, weights) in zip(np.split(fit, np.cumsum(lengths)[:-1]), chains):
+        ref = isotonic_regression(values, weights=weights).x
+        assert part.tobytes() == ref.tobytes()
+        assert np.all(np.diff(part) >= 0.0)
