@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
 from .models import NoisySorting, _invert, check_permutation
 from .observation import ObservationSample, empirical_scores
 
@@ -55,6 +54,8 @@ def asp_lambda_mle(s: ObservationSample, pi) -> float:
     if s.num_pairs == 0:
         raise ValueError("cannot fit lambda from an empty sample")
     p = check_permutation(pi).astype(np.int32)  # every rank is < n: half-size gathers
+    if len(p) != s.n:
+        raise ValueError(f"ranking of {len(p)} items does not match a sample of size {s.n}")
     inverted = p[s.pairs[:, 0]] > p[s.pairs[:, 1]]
     # |inverted - y| is 1 - y on inverted pairs and y elsewhere, in one array
     aligned = np.subtract(inverted, s.values)
@@ -233,27 +234,25 @@ class BlockPartition:
         return tuple(np.split(order, np.cumsum(np.bincount(self.labels))[:-1]))
 
 
-def block_partition(values, t: float, upper: float | None = None) -> BlockPartition:
+def block_partition(values, t: float, upper: float) -> BlockPartition:
     """Group indices whose values share an interval [floor((i-1)t), floor(it)).
 
-    Values equal to the top of the covered range land in the last interval;
-    empty groups are dropped.  upper, when given, bounds the admissible
-    values (used with row sums in [0, n]).
+    upper bounds the admissible values (row sums lie in [0, n]); values
+    equal to it land in the last interval.  Empty groups are dropped.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or len(v) == 0:
         raise ValueError("values must be a nonempty vector")
     if np.any(v < 0):
         raise ValueError("values must be nonnegative")
-    if upper is not None and np.any(v > upper):
+    if np.any(v > upper):
         raise ValueError(f"values must not exceed {upper}")
     if t <= 0:
         raise ValueError("threshold must be positive")
-    top = float(upper) if upper is not None else float(v.max())
-    # interval lows floor(k t), k = 0, 1, ...: those below top need k t < ceil(top),
-    # and keeping only them (at least [0.]) puts values equal to top in the last
-    lows = np.floor(np.arange(int(np.ceil(top) / t) + 2) * t)
-    lows = lows[: max(1, np.searchsorted(lows, top))]
+    # interval lows floor(k t), k = 0, 1, ...: those below upper need k t < ceil(upper),
+    # and keeping only them (at least [0.]) puts values equal to upper in the last
+    lows = np.floor(np.arange(int(np.ceil(upper) / t) + 2) * t)
+    lows = lows[: max(1, np.searchsorted(lows, upper))]
     labels = np.unique(np.searchsorted(lows, v, side="right"), return_inverse=True)[1]
     labels.flags.writeable = False
     return BlockPartition(labels=labels)
@@ -309,27 +308,27 @@ def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.
 # ---------------------------------------------------------------------------
 
 
-def bap_estimate(s1: ObservationSample, s2: ObservationSample, g: Graph) -> np.ndarray:
+def bap_estimate(s1: ObservationSample, s2: ObservationSample) -> np.ndarray:
     """Block-average-project estimate of an SST comparison matrix.
 
     Blocks come from the first sample: its rescaled row sums
     (n/D_i) sum_j Y_ij equal n times the empirical scores, which are
-    partitioned with gap t = sum_v 1/sqrt(d_v) into one label per item.
-    The groups are score intervals, so the labels counted from the highest
+    partitioned with gap t = sum_v 1/sqrt(d_v), summed over the first
+    sample's counts (item i has its vertex's d_sigma(i)), into one label per
+    item.  The groups are score intervals, so the labels counted from the highest
     group follow the score ranking; the k x k block means of the second
     sample (the first again for single-sample BAP) over those labels go to
     :func:`project_biso` with the group sizes, at tolerance BAP_TOL.  Raises
     RuntimeError when the projection stops without converging.
     """
-    if g.degrees.min() == 0:
+    if s1.counts.min() == 0:
         raise ValueError("comparison graph must have no isolated vertices")
-    for s in (s1, s2):
-        if s.n != g.n:
-            raise ValueError(f"sample size {s.n} does not match graph size {g.n}")
-    n = g.n
+    if s1.n != s2.n:
+        raise ValueError(f"sample sizes differ: {s1.n} and {s2.n}")
+    n = s1.n
 
     tau_hat = empirical_scores(s1)
-    t = float(np.sum(1.0 / np.sqrt(g.degrees)))
+    t = float(np.sum(1.0 / np.sqrt(s1.counts)))
     partition = block_partition(n * tau_hat, t, upper=n)
     k = partition.num_groups
     lab = k - 1 - partition.labels

@@ -141,9 +141,10 @@ def build_graph(spec: ExperimentSpec, n: int) -> Graph:
     )
 
 
-def run_trial(spec: ExperimentSpec, n: int, trial_index: int, graph: Graph) -> TrialRecord:
-    """Run one seeded trial on graph, the size-n topology from build_graph;
-    estimator failures become failed records."""
+def run_trial(spec: ExperimentSpec, trial_index: int, graph: Graph) -> TrialRecord:
+    """Run one seeded trial on graph, a topology from build_graph, at its
+    size n; estimator failures become failed records."""
+    n = graph.n
     seed = derive_seed(spec.master_seed, n, trial_index)
     start = time.perf_counter()
     metrics, error = (None, None, None, None), None
@@ -157,7 +158,7 @@ def run_trial(spec: ExperimentSpec, n: int, trial_index: int, graph: Graph) -> T
             m_star = sample_sst_bands(n, rng)
         sigma1 = assign_random(graph, rng)
         value_rng = rng if spec.mode == "bernoulli" else None
-        s1 = observe(m_star, graph, sigma1, spec.mode, value_rng)
+        s1 = observe(m_star, graph, sigma1, value_rng)
         kt = lam_hat = None
         if spec.estimator == "asp":
             est = asp_estimate(s1)
@@ -170,8 +171,8 @@ def run_trial(spec: ExperimentSpec, n: int, trial_index: int, graph: Graph) -> T
             s2 = s1  # bap1 reuses the first sample
             if spec.estimator == "bap":
                 sigma2 = assign_random(graph, rng)
-                s2 = observe(m_star, graph, sigma2, spec.mode, value_rng)
-            m_hat = bap_estimate(s1, s2, graph)
+                s2 = observe(m_star, graph, sigma2, value_rng)
+            m_hat = bap_estimate(s1, s2)
             if spec.model == "ns":
                 m_star = make_noisy_sorting(pi_star, spec.lambda_star)
             err = frobenius_error(m_hat, m_star)
@@ -194,7 +195,7 @@ def run_trial(spec: ExperimentSpec, n: int, trial_index: int, graph: Graph) -> T
 def _run_trials(spec: ExperimentSpec, n: int, trials: range) -> list[TrialRecord]:
     """One unit of sweep work: build the size-n graph, then run these trials on it."""
     graph = build_graph(spec, n)
-    return [run_trial(spec, n, t, graph) for t in trials]
+    return [run_trial(spec, t, graph) for t in trials]
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1) -> list[TrialRecord]:

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "check_permutation",
     "identity_permutation",
-    "inverse_permutation",
     "kt_distance",
     "inversion_table",
     "table_to_permutation",
@@ -33,8 +32,6 @@ __all__ = [
     "frobenius_error",
     "noisy_sorting_error",
 ]
-
-SKEW_TOL = 1e-12
 
 
 def check_permutation(ranks) -> np.ndarray:
@@ -54,13 +51,9 @@ def identity_permutation(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int64)
 
 
-def inverse_permutation(ranks) -> np.ndarray:
-    """inv[r] = the item holding rank r."""
-    return _invert(check_permutation(ranks))
-
-
 def _invert(p: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """inverse_permutation of a p known to be a permutation, in dtype."""
+    """inv[r] = the item holding rank r, in dtype, for a p known to be a
+    permutation: np.argsort(p) without the sort."""
     inv = np.empty(len(p), dtype=dtype)
     inv[p] = np.arange(len(p), dtype=dtype)
     return inv

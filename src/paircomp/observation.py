@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _key_dtype, sort_pairs
-from .models import SKEW_TOL, NoisySorting, _invert, check_permutation
+from .models import NoisySorting, _invert, check_permutation
 
 __all__ = [
     "ObservationSample",
@@ -22,6 +22,8 @@ __all__ = [
     "empirical_scores",
     "sample_matrix",
 ]
+
+RANGE_TOL = 1e-12  # how far outside [0, 1] an observed dense entry may lie
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,7 @@ def observe(
     m: np.ndarray | NoisySorting,
     g: Graph,
     sigma,
-    mode: str,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | None,
 ) -> ObservationSample:
     """Draw one observation sample of m on the graph under assignment sigma.
 
@@ -64,9 +65,9 @@ def observe(
     (i, j) with i < j, as Y_ji = 1 - Y_ij is implied; a dense matrix is
     checked there alone, its gathered entries to lie in [0, 1], and its
     diagonal, lower triangle and unobserved pairs are never read.
-    mode 'bernoulli' draws Y_ij ~ Ber(M_ij) independently per observed pair
-    and requires rng; mode 'expectation' sets Y_ij = M_ij exactly (the
-    infinite-sample-per-pair test hook).
+    A generator rng draws Y_ij ~ Ber(M_ij) independently per observed pair;
+    rng=None sets Y_ij = M_ij exactly (expectation mode, the
+    infinite-sample-per-pair test hook).  rng has no default.
     """
     dense = not isinstance(m, NoisySorting)
     if dense and (m.ndim != 2 or m.shape[0] != m.shape[1]):
@@ -75,10 +76,6 @@ def observe(
     sigma = check_permutation(sigma)
     if size != g.n or len(sigma) != g.n:
         raise ValueError(f"size mismatch: matrix {size}, graph {g.n}, sigma {len(sigma)}")
-    if mode not in ("bernoulli", "expectation"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "bernoulli" and rng is None:
-        raise ValueError("bernoulli mode requires a seeded generator")
 
     # gathered in the key's width: an int32 inverse halves the (m, 2) temporary
     inv = _invert(sigma, _key_dtype(g.n))
@@ -87,10 +84,10 @@ def observe(
     values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
     # before any draw; NaN fails every comparison, so it fails this check too
     if dense and not (
-        values.min(initial=0.5) >= -SKEW_TOL and values.max(initial=0.5) <= 1.0 + SKEW_TOL
+        values.min(initial=0.5) >= -RANGE_TOL and values.max(initial=0.5) <= 1.0 + RANGE_TOL
     ):
         raise ValueError("entries must lie in [0, 1]")
-    if mode == "bernoulli":
+    if rng is not None:
         np.less(rng.random(len(values)), values, out=values)
     # item i is compared along exactly the edges at its vertex sigma(i)
     counts = g.degrees[sigma]

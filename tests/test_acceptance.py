@@ -113,7 +113,7 @@ def test_criterion_03_noiseless_exactness():
     for n in (3, 10, 50):
         g = make_topology("complete", n)
         m = make_noisy_sorting(identity_permutation(n), 0.4)
-        s = observe(m, g, identity_permutation(n), "expectation")
+        s = observe(m, g, identity_permutation(n), None)
         res = asp_estimate(s)
         assert frobenius_error(make_noisy_sorting(res.ranks, res.lam), m) < 1e-12
     _report(3, "expectation-mode ASP reproduces M_NS(id, 0.4) exactly for n in {3,10,50}")
@@ -254,7 +254,7 @@ def test_criterion_09_worst_case_certification():
                 # the block swap inverts every cross pair: KT equals beta itself
                 assert kt == beta_cf
             for truth in (m1, m2):
-                s = observe(truth, g, identity_permutation(n), "expectation")
+                s = observe(truth, g, identity_permutation(n), None)
                 est = asp_estimate(s)
                 worst = max(worst, frobenius_error(make_noisy_sorting(est.ranks, est.lam), truth))
         assert worst >= report.minimax_lb - 1e-12

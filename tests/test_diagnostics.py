@@ -458,7 +458,7 @@ def test_asp_incurs_lower_bound_on_random_graphs():
             except ValueError:
                 continue
             for truth in (pair.m1, pair.m2):
-                s = observe(truth, g, identity_permutation(g.n), "expectation")
+                s = observe(truth, g, identity_permutation(g.n), None)
                 worst = max(worst, frobenius_error(dense(asp_estimate(s)), dense(truth)))
         checked += 1
         assert worst >= report.minimax_lb - 1e-12

@@ -16,7 +16,6 @@ from paircomp import (
     block_partition,
     empirical_scores,
     identity_permutation,
-    inverse_permutation,
     is_biso,
     frobenius_error,
     make_graph,
@@ -42,7 +41,7 @@ def ident(n):
 
 def expectation_sample(m, g, sigma=None):
     n = g.n
-    return observe(m, g, ident(n) if sigma is None else sigma, "expectation")
+    return observe(m, g, ident(n) if sigma is None else sigma, None)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +59,7 @@ def test_asp_sort_orders_scores_nonincreasing():
     rng = np.random.default_rng(0)
     tau = rng.random(31)
     pi = asp_sort(tau)
-    sorted_scores = tau[inverse_permutation(pi)]
+    sorted_scores = tau[np.argsort(pi)]
     assert np.all(np.diff(sorted_scores) <= 0)
 
 
@@ -84,6 +83,14 @@ def test_asp_lambda_mle_cases():
     )
     with pytest.raises(ValueError):
         asp_lambda_mle(empty, ident(2))
+
+
+def test_asp_lambda_mle_rejects_a_ranking_of_another_size():
+    s = expectation_sample(make_noisy_sorting(ident(6), 0.3), make_topology("path", 6))
+    for size in (4, 9):
+        message = f"ranking of {size} items does not match a sample of size 6"
+        with pytest.raises(ValueError, match=message):
+            asp_lambda_mle(s, np.arange(size))
 
 
 def test_asp_lambda_mle_alignment_matches_where_formula_bit_for_bit():
@@ -135,7 +142,7 @@ def test_asp_result_is_consistent():
     g = make_topology("two_cliques", 16)
     m = make_noisy_sorting(ident(16), 0.4)
     rng = np.random.default_rng(2)
-    s = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    s = observe(m, g, assign_random(g, rng), rng)
     res = asp_estimate(s)
     assert isinstance(res, NoisySorting)
     assert np.array_equal(res.ranks, asp_sort(empirical_scores(s)))
@@ -260,8 +267,8 @@ def bap_draw(family, n, seed, mode="bernoulli"):
     g = make_topology(family, n)
     m = sample_sst_bands(n, rng)
     value_rng = rng if mode == "bernoulli" else None
-    s1 = observe(m, g, assign_random(g, rng), mode, value_rng)
-    s2 = observe(m, g, assign_random(g, rng), mode, value_rng)
+    s1 = observe(m, g, assign_random(g, rng), value_rng)
+    s2 = observe(m, g, assign_random(g, rng), value_rng)
     return g, s1, s2
 
 
@@ -272,7 +279,7 @@ def bap_projection_input(family, n, seed, mode="bernoulli"):
     tau = empirical_scores(s1)
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
     c = block_partition(np.clip(n * tau, 0.0, n), t, upper=n)
-    inv = inverse_permutation(asp_sort(tau))
+    inv = np.argsort(asp_sort(tau))
     return permute_matrix(block_average(*sample_matrix(s2), c), inv)
 
 
@@ -445,12 +452,12 @@ def test_project_rejects_non_finite_input(bad):
 
 
 def test_block_partition_example():
-    c = block_partition(np.array([0.2, 3.1, 3.9, 7.5]), 3.0)
+    c = block_partition(np.array([0.2, 3.1, 3.9, 7.5]), 3.0, upper=7.5)
     assert [g.tolist() for g in c.groups] == [[0], [1, 2], [3]]
 
 
 def test_block_partition_single_interval():
-    c = block_partition(np.array([0.5, 1.2, 2.0]), 5.0)
+    c = block_partition(np.array([0.5, 1.2, 2.0]), 5.0, upper=2.0)
     assert c.num_groups == 1
     assert c.groups[0].tolist() == [0, 1, 2]
 
@@ -459,18 +466,18 @@ def test_block_partition_top_value_and_bounds():
     c = block_partition(np.array([0.0, 2.5, 6.0]), 3.0, upper=6.0)
     assert [g.tolist() for g in c.groups] == [[0, 1], [2]]
     with pytest.raises(ValueError):
-        block_partition(np.array([-0.1]), 1.0)
+        block_partition(np.array([-0.1]), 1.0, upper=0.0)
     with pytest.raises(ValueError):
         block_partition(np.array([7.0]), 3.0, upper=6.0)
     with pytest.raises(ValueError):
-        block_partition(np.array([1.0]), 0.0)
-    # without upper, the largest value sets top = 6 and joins the last interval [3, 6]
-    c = block_partition(np.array([0.0, 2.5, 6.0, 6.0]), 3.0)
+        block_partition(np.array([1.0]), 0.0, upper=1.0)
+    # upper = the largest value 6 sets top = 6, and 6 joins the last interval [3, 6]
+    c = block_partition(np.array([0.0, 2.5, 6.0, 6.0]), 3.0, upper=6.0)
     assert [g.tolist() for g in c.groups] == [[0, 1], [2, 3]]
     # t < 1: the floored bounds 0, 0, 0, 1, 1, 2 give the intervals [0, 1), [1, 2]
-    c = block_partition(np.array([0.0, 0.9, 1.0, 1.5, 2.0]), 0.4)
+    c = block_partition(np.array([0.0, 0.9, 1.0, 1.5, 2.0]), 0.4, upper=2.0)
     assert [g.tolist() for g in c.groups] == [[0, 1], [2, 3, 4]]
-    c = block_partition(np.array([0.0, 0.1, 0.4]), 0.3)
+    c = block_partition(np.array([0.0, 0.1, 0.4]), 0.3, upper=0.4)
     assert [g.tolist() for g in c.groups] == [[0, 1, 2]]
 
 
@@ -487,10 +494,10 @@ def test_block_partition_invariants_random():
             assert v[grp].max() - v[grp].min() < t + 1  # interval width bound
 
 
-def block_partition_oracle(values, t, upper=None):
+def block_partition_oracle(values, t, upper):
     """The interval loop block_partition replaced: groups as index arrays."""
     v = np.asarray(values, dtype=np.float64)
-    top = float(upper) if upper is not None else float(v.max())
+    top = float(upper)
     if top <= 0:
         return (np.arange(len(v)),)
     bounds = [0.0]
@@ -516,6 +523,8 @@ def test_block_partition_matches_interval_loop_oracle():
         elif it % 7 == 2 and upper:
             v[rng.random(n) < 0.3] = upper
         t = rng.uniform(0.05, 1.0) if it % 3 == 0 else rng.uniform(0.3, 2 * n + 1)
+        if upper is None:  # even iterations: the largest value is the bound
+            upper = float(v.max())
         c = block_partition(v, t, upper)
         groups = block_partition_oracle(v, t, upper)
         assert len(c.groups) == c.num_groups == len(groups)
@@ -529,7 +538,7 @@ def test_block_partition_matches_interval_loop_oracle():
 
 
 def test_block_partition_labels_read_only():
-    c = block_partition(np.array([0.2, 3.1, 3.9, 7.5]), 3.0)
+    c = block_partition(np.array([0.2, 3.1, 3.9, 7.5]), 3.0, upper=7.5)
     assert [f.name for f in dataclasses.fields(c)] == ["labels"]
     assert c.labels.tolist() == [0, 1, 1, 2]
     with pytest.raises(ValueError):
@@ -597,13 +606,13 @@ def test_bap_expectation_output_feasible():
     m = sample_sst_bands(n, np.random.default_rng(14))
     s1 = expectation_sample(m, g)
     s2 = expectation_sample(m, g)
-    out = bap_estimate(s1, s2, g)
+    out = bap_estimate(s1, s2)
     assert out.min() >= 0 and out.max() <= 1
     # output lies in the permuted biso set: conjugating back is biso
     from paircomp import asp_sort, empirical_scores
 
     pi_hat = asp_sort(empirical_scores(s1))
-    assert is_biso(permute_matrix(out, inverse_permutation(pi_hat)), 1e-6)
+    assert is_biso(permute_matrix(out, np.argsort(pi_hat)), 1e-6)
 
 
 def test_bap_all_half_fixed_point():
@@ -611,7 +620,7 @@ def test_bap_all_half_fixed_point():
     g = make_topology("two_cliques", n)
     m = np.full((n, n), 0.5)
     s1 = expectation_sample(m, g)
-    out = bap_estimate(s1, s1, g)
+    out = bap_estimate(s1, s1)
     assert np.allclose(out, 0.5, atol=1e-9)
 
 
@@ -622,9 +631,9 @@ def test_bap_single_block_when_gap_covers_all_row_sums():
     assert np.all(g.degrees == 1)
     rng = np.random.default_rng(19)
     m = sample_sst_bands(n, rng)
-    s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-    s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-    assert np.array_equal(bap_estimate(s1, s2, g), np.full((n, n), 0.5))
+    s1 = observe(m, g, assign_random(g, rng), rng)
+    s2 = observe(m, g, assign_random(g, rng), rng)
+    assert np.array_equal(bap_estimate(s1, s2), np.full((n, n), 0.5))
 
 
 def test_bap_validates_sample_sizes():
@@ -632,19 +641,20 @@ def test_bap_validates_sample_sizes():
     g = make_topology("two_cliques", n)
     m = sample_sst_bands(n, np.random.default_rng(15))
     rng = np.random.default_rng(16)
-    s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-    small = observe(m[:6, :6], make_topology("two_cliques", 6), ident(6), "expectation")
-    for pair in ((s1, small), (small, s1)):
-        with pytest.raises(ValueError, match="sample size 6 does not match graph size 8"):
-            bap_estimate(*pair, g)
+    s1 = observe(m, g, assign_random(g, rng), rng)
+    small = observe(m[:6, :6], make_topology("two_cliques", 6), ident(6), None)
+    for pair, sizes in (((s1, small), "8 and 6"), ((small, s1), "6 and 8")):
+        with pytest.raises(ValueError, match=f"sample sizes differ: {sizes}"):
+            bap_estimate(*pair)
 
 
 def test_bap_rejects_isolated_vertex():
-    g = make_topology("path", 8)
-    s = expectation_sample(make_noisy_sorting(ident(8), 0.3), g)
-    iso = make_graph(8, g.edges[:-1])  # vertex 7 loses its only edge
+    iso = make_graph(8, make_topology("path", 8).edges[:-1])  # vertex 7 loses its only edge
+    sigma = np.roll(ident(8), 3)  # item 2 sits at vertex 7
+    s = expectation_sample(make_noisy_sorting(ident(8), 0.3), iso, sigma)
+    assert s.counts.tolist().index(0) == 2
     with pytest.raises(ValueError, match="comparison graph must have no isolated vertices"):
-        bap_estimate(s, s, iso)
+        bap_estimate(s, s)
 
 
 def test_bap_matches_dense_reference_path():
@@ -657,7 +667,7 @@ def test_bap_matches_dense_reference_path():
                 pi_hat = asp_sort(empirical_scores(s1))
                 x = bap_projection_input(family, n, n + 1, mode)
                 dense = permute_matrix(project_biso(x).matrix, pi_hat)
-                out = bap_estimate(s1, s2, g)
+                out = bap_estimate(s1, s2)
                 if mode == "bernoulli":  # 0/1 outcomes: every block sum is exact
                     assert out.tobytes() == dense.tobytes()
                 else:
@@ -669,7 +679,7 @@ def test_bap_allocates_only_its_estimate():
     g, s1, s2 = bap_draw("power_law", n, 5)
     tracemalloc.start()
     try:
-        out = bap_estimate(s1, s2, g)
+        out = bap_estimate(s1, s2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -684,9 +694,9 @@ def test_bap_beats_trivial_guess_on_average():
     errs, trivial = [], []
     for _ in range(3):
         m = sample_sst_bands(n, rng)
-        s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-        s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-        errs.append(frobenius_error(bap_estimate(s1, s2, g), m))
+        s1 = observe(m, g, assign_random(g, rng), rng)
+        s2 = observe(m, g, assign_random(g, rng), rng)
+        errs.append(frobenius_error(bap_estimate(s1, s2), m))
         trivial.append(frobenius_error(np.full((n, n), 0.5), m))
     assert np.mean(errs) < 0.5 * np.mean(trivial)
 
@@ -696,16 +706,16 @@ def test_bap_raises_when_projection_does_not_converge(monkeypatch):
     g = make_topology("power_law", n)
     rng = np.random.default_rng(20)
     m = sample_sst_bands(n, rng)
-    s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-    s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+    s1 = observe(m, g, assign_random(g, rng), rng)
+    s2 = observe(m, g, assign_random(g, rng), rng)
     with monkeypatch.context() as patch:
         patch.setattr(estimators, "project_biso", functools.partial(project_biso, max_iter=1))
         with pytest.raises(RuntimeError, match=r"did not converge in 1 iterations \(tol 1e-08\)"):
-            bap_estimate(s1, s2, g)
-    assert bap_estimate(s1, s2, g).shape == (n, n)
+            bap_estimate(s1, s2)
+    assert bap_estimate(s1, s2).shape == (n, n)
     for setting in ("tol", "max_iter"):  # the tolerance is the constant BAP_TOL
         with pytest.raises(TypeError):
-            bap_estimate(s1, s2, g, **{setting: 1})
+            bap_estimate(s1, s2, **{setting: 1})
 
 
 def test_bap_deterministic_given_seeds():
@@ -715,8 +725,8 @@ def test_bap_deterministic_given_seeds():
     def run():
         rng = np.random.default_rng(18)
         m = sample_sst_bands(n, rng)
-        s1 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-        s2 = observe(m, g, assign_random(g, rng), "bernoulli", rng)
-        return bap_estimate(s1, s2, g)
+        s1 = observe(m, g, assign_random(g, rng), rng)
+        s2 = observe(m, g, assign_random(g, rng), rng)
+        return bap_estimate(s1, s2)
 
     assert np.array_equal(run(), run())

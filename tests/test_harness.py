@@ -76,7 +76,7 @@ def test_derive_seed_is_deterministic_and_spread():
 
 def test_run_trial_expectation_complete_is_exact():
     spec = small_spec(graph_family="complete", mode="expectation", n_values=(12,))
-    rec = run_trial(spec, 12, 0, harness.build_graph(spec, 12))
+    rec = run_trial(spec, 0, harness.build_graph(spec, 12))
     assert rec.error is None
     assert rec.frob_err < 1e-12
     assert rec.kt_dist == 0
@@ -85,7 +85,7 @@ def test_run_trial_expectation_complete_is_exact():
 
 def test_run_trial_lambda_zero_expectation():
     spec = small_spec(lambda_star=0.0, mode="expectation", n_values=(8,))
-    rec = run_trial(spec, 8, 0, harness.build_graph(spec, 8))
+    rec = run_trial(spec, 0, harness.build_graph(spec, 8))
     assert rec.frob_err == 0.0
     assert rec.lambda_hat == 0.0
 
@@ -93,8 +93,8 @@ def test_run_trial_lambda_zero_expectation():
 def test_run_trial_repeatable():
     spec = small_spec()
     g = harness.build_graph(spec, 16)
-    a = run_trial(spec, 16, 2, g)
-    b = run_trial(spec, 16, 2, g)
+    a = run_trial(spec, 2, g)
+    b = run_trial(spec, 2, g)
     # identical except wall-clock runtime
     assert (a.frob_err, a.kt_dist, a.lambda_hat, a.seed) == (
         b.frob_err,
@@ -105,12 +105,20 @@ def test_run_trial_repeatable():
     assert a.degree_functional == degree_functional(make_topology("two_cliques", 16))
 
 
+def test_run_trial_reads_its_size_from_the_graph():
+    spec = small_spec(graph_family="cycle", n_values=(12,))
+    g = make_topology("cycle", 8)
+    rec = run_trial(spec, 0, g)
+    assert rec.error is None
+    assert (rec.n, rec.seed) == (g.n, derive_seed(spec.master_seed, g.n, 0))
+
+
 def test_run_trial_records_failures():
     # p small enough that some vertex is isolated: estimator precondition fails
     spec = small_spec(graph_family="erdos_renyi", n_values=(16,))
     spec = ExperimentSpec(**{**spec.__dict__, "edge_probability": 0.01})
     g = harness.build_graph(spec, 16)
-    recs = [run_trial(spec, 16, t, g) for t in range(5)]
+    recs = [run_trial(spec, t, g) for t in range(5)]
     failed = [r for r in recs if r.error is not None]
     assert failed, "expected at least one failed trial at p=0.01"
     assert all(r.frob_err is None for r in failed)
@@ -135,7 +143,7 @@ def test_ns_asp_closed_form_error_matches_dense(lam):
             g = harness.build_graph(spec, rec.n)
             m_star = make_noisy_sorting(identity_permutation(rec.n), lam)
             rng = np.random.default_rng(rec.seed)
-            result = asp_estimate(observe(m_star, g, assign_random(g, rng), "bernoulli", rng))
+            result = asp_estimate(observe(m_star, g, assign_random(g, rng), rng))
             assert (result.lam, int(result.ranks.size)) == (rec.lambda_hat, rec.n)
             dense = frobenius_error(make_noisy_sorting(result.ranks, result.lam), m_star)
             assert math.isclose(rec.frob_err, dense, rel_tol=1e-12), (family, rec.n)
@@ -153,15 +161,15 @@ def test_dense_error_matches_redraws(model, estimator):
             m_star = make_noisy_sorting(identity_permutation(rec.n), spec.lambda_star)
         else:
             m_star = sample_sst_bands(rec.n, rng)
-        s1 = observe(m_star, g, assign_random(g, rng), "bernoulli", rng)
+        s1 = observe(m_star, g, assign_random(g, rng), rng)
         if estimator == "asp":
             est = asp_estimate(s1)
             m_hat = make_noisy_sorting(est.ranks, est.lam)
         else:
             s2 = s1  # bap1 reuses the first sample
             if estimator == "bap":
-                s2 = observe(m_star, g, assign_random(g, rng), "bernoulli", rng)
-            m_hat = bap_estimate(s1, s2, g)
+                s2 = observe(m_star, g, assign_random(g, rng), rng)
+            m_hat = bap_estimate(s1, s2)
         assert rec.frob_err == frobenius_error(m_hat, m_star), (rec.n, rec.trial_index)
 
 
@@ -171,7 +179,7 @@ def test_ns_asp_trial_allocates_no_dense_matrix():
     g = harness.build_graph(spec, 8192)
     tracemalloc.start()
     try:
-        rec = run_trial(spec, 8192, 0, g)
+        rec = run_trial(spec, 0, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,7 +190,7 @@ def test_ns_asp_trial_allocates_no_dense_matrix():
 def test_run_trial_records_nonconverged_projection(monkeypatch):
     monkeypatch.setattr(estimators, "project_biso", functools.partial(project_biso, max_iter=1))
     spec = small_spec(graph_family="power_law", model="sst", estimator="bap", n_values=(64,))
-    rec = run_trial(spec, 64, 0, harness.build_graph(spec, 64))
+    rec = run_trial(spec, 0, harness.build_graph(spec, 64))
     assert rec.frob_err is None
     assert rec.error == "RuntimeError: biso projection did not converge in 1 iterations (tol 1e-08)"
 

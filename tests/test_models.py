@@ -10,7 +10,6 @@ from paircomp import (
     check_permutation,
     frobenius_error,
     identity_permutation,
-    inverse_permutation,
     inversion_table,
     is_biso,
     kt_distance,
@@ -19,6 +18,8 @@ from paircomp import (
     sample_sst_bands,
     table_to_permutation,
 )
+
+from paircomp.models import _invert
 
 from oracles import permute_matrix, reverse_permutation, scores
 
@@ -110,10 +111,14 @@ def test_check_permutation_rejects_non_integral_ranks():
 
 
 def test_inverse_permutation():
+    # the private inverse behind observe and asp_sort: np.argsort without the sort
     rng = np.random.default_rng(4)
     p = random_perm(rng, 17)
-    inv = inverse_permutation(p)
-    assert np.array_equal(p[inv], np.arange(17))
+    for dtype in (np.int32, np.int64):
+        inv = _invert(p, dtype)
+        assert inv.dtype == dtype
+        assert np.array_equal(p[inv], np.arange(17))
+        assert np.array_equal(inv, np.argsort(p))
 
 
 # ---------------------------------------------------------------------------

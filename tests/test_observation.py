@@ -22,6 +22,11 @@ from paircomp import (
 from oracles import adjacency_matrix, scores
 
 
+def draws(mode, rng):
+    """observe's generator argument in an observation mode: None in expectation."""
+    return rng if mode == "bernoulli" else None
+
+
 def test_assign_random_determinism_and_trivial_case():
     g = make_topology("path", 9)
     a = assign_random(g, np.random.default_rng(42))
@@ -46,7 +51,7 @@ def test_assign_random_is_uniform_at_n4():
 def test_observe_expectation_example():
     g = make_topology("complete", 3)
     m = make_noisy_sorting(identity_permutation(3), 0.4)
-    s = observe(m, g, identity_permutation(3), "expectation")
+    s = observe(m, g, identity_permutation(3), None)
     assert s.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
     assert np.allclose(s.values, [0.9, 0.9, 0.9], atol=0)
 
@@ -54,7 +59,7 @@ def test_observe_expectation_example():
 def test_observe_bernoulli_values_are_binary():
     g = make_topology("two_cliques", 10)
     m = make_noisy_sorting(identity_permutation(10), 0.3)
-    s = observe(m, g, identity_permutation(10), "bernoulli", np.random.default_rng(1))
+    s = observe(m, g, identity_permutation(10), np.random.default_rng(1))
     assert set(np.unique(s.values)).issubset({0.0, 1.0})
     assert s.num_pairs == 20
 
@@ -64,7 +69,7 @@ def test_observed_pairs_follow_assignment():
     m = make_noisy_sorting(identity_permutation(6), 0.2)
     rng = np.random.default_rng(5)
     sigma = assign_random(g, rng)
-    s = observe(m, g, sigma, "expectation")
+    s = observe(m, g, sigma, None)
     assert s.num_pairs == g.num_edges
     a = adjacency_matrix(g)
     expected = {
@@ -80,12 +85,10 @@ def test_observe_validates_inputs():
     g = make_topology("path", 4)
     m = make_noisy_sorting(identity_permutation(5), 0.1)
     with pytest.raises(ValueError):
-        observe(m, g, identity_permutation(4), "expectation")
+        observe(m, g, identity_permutation(4), None)
     m4 = make_noisy_sorting(identity_permutation(4), 0.1)
-    with pytest.raises(ValueError):
-        observe(m4, g, identity_permutation(4), "bernoulli")  # rng required
-    with pytest.raises(ValueError):
-        observe(m4, g, identity_permutation(4), "nonsense")
+    with pytest.raises(TypeError):
+        observe(m4, g, identity_permutation(4))  # rng has no default: None or a generator
 
 
 def _noisy_sorting_4(entries):
@@ -110,7 +113,7 @@ def test_observe_rejects_invalid_matrix(m, message):
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(ValueError) as err:
-            observe(m, make_topology("path", 4), identity_permutation(4), mode, rng)
+            observe(m, make_topology("path", 4), identity_permutation(4), draws(mode, rng))
         assert str(err.value) == message, mode
         assert rng.bit_generator.state == state, mode  # rejected before any draw
 
@@ -122,11 +125,11 @@ def test_observe_never_reads_a_dense_entry_outside_the_observed_pairs(garbage, m
         g = make_topology(family, n)
         m = sample_sst_bands(n, np.random.default_rng(n))
         sigma = assign_random(g, np.random.default_rng(1))
-        valid = observe(m, g, sigma, mode, np.random.default_rng(2))
+        valid = observe(m, g, sigma, draws(mode, np.random.default_rng(2)))
         read = np.zeros((n, n), dtype=bool)
         read[valid.pairs[:, 0], valid.pairs[:, 1]] = True
         # garbage on the diagonal, the lower triangle and every unobserved upper pair
-        s = observe(np.where(read, m, garbage), g, sigma, mode, np.random.default_rng(2))
+        s = observe(np.where(read, m, garbage), g, sigma, draws(mode, np.random.default_rng(2)))
         for a, b in ((valid.pairs, s.pairs), (valid.values, s.values), (valid.counts, s.counts)):
             assert a.tobytes() == b.tobytes()
 
@@ -137,7 +140,7 @@ def test_dense_observe_on_a_sparse_graph_allocates_no_matrix_sized_temporary(mod
     g = make_topology("cycle", n)
     rng = np.random.default_rng(6)
     m = sample_sst_bands(n, rng)  # 8n^2 bytes = 33.6 MB
-    _, peak = traced_peak(observe, m, g, assign_random(g, rng), mode, rng)
+    _, peak = traced_peak(observe, m, g, assign_random(g, rng), draws(mode, rng))
     assert peak < 1 << 20
 
 
@@ -148,19 +151,19 @@ def test_observe_noisy_sorting_model_matches_its_dense_matrix(mode):
         ranks = np.random.default_rng(n).permutation(n)
         sigma = assign_random(g, np.random.default_rng(1))
         a, b = (
-            observe(m, g, sigma, mode, np.random.default_rng(2))
+            observe(m, g, sigma, draws(mode, np.random.default_rng(2)))
             for m in (NoisySorting(ranks, 0.3), make_noisy_sorting(ranks, 0.3))
         )
         assert np.array_equal(a.pairs, b.pairs)
         assert a.values.tobytes() == b.values.tobytes()
     with pytest.raises(ValueError):
-        observe(NoisySorting(identity_permutation(5), 0.1), g, identity_permutation(40), mode)
+        observe(NoisySorting(identity_permutation(5), 0.1), g, identity_permutation(40), None)
 
 
 def test_empirical_scores_expectation_equals_true_scores():
     g = make_topology("complete", 12)
     m = make_noisy_sorting(identity_permutation(12), 0.35)
-    s = observe(m, g, identity_permutation(12), "expectation")
+    s = observe(m, g, identity_permutation(12), None)
     assert np.allclose(empirical_scores(s), scores(m), atol=1e-15)
 
 
@@ -168,7 +171,7 @@ def test_empirical_scores_single_win_and_pairing_identity():
     # star with identity assignment: each leaf has exactly one comparison
     g = make_topology("star", 5)
     m = make_noisy_sorting(np.array([4, 0, 1, 2, 3]), 0.5)  # hub ranked last
-    s = observe(m, g, identity_permutation(5), "expectation")
+    s = observe(m, g, identity_permutation(5), None)
     tau = empirical_scores(s)
     assert np.allclose(tau[1:], 1.0)  # leaves won their single comparison
     counts = np.bincount(s.pairs.ravel(), minlength=5)
@@ -185,7 +188,7 @@ def test_empirical_scores_are_bit_identical_to_the_bincount_formula():
     rng = np.random.default_rng(9)
     model = NoisySorting(rng.permutation(g.n), 0.3)
     samples = [
-        observe(model, g, assign_random(g, rng), mode, rng) for mode in ("bernoulli", "expectation")
+        observe(model, g, assign_random(g, rng), value_rng) for value_rng in (rng, None)
     ]
     uniform = rng.random(g.num_edges)  # non-dyadic values
     uniform.setflags(write=False)  # frozen, as observe leaves its values
@@ -213,7 +216,8 @@ def test_observe_counts_are_the_recount_of_its_pairs(family, mode):
         kwargs = {"p": 0.5, "rng": np.random.default_rng(1)}
     g = make_topology(family, 12, **kwargs)
     rng = np.random.default_rng(4)
-    s = observe(NoisySorting(identity_permutation(g.n), 0.3), g, assign_random(g, rng), mode, rng)
+    model = NoisySorting(identity_permutation(g.n), 0.3)
+    s = observe(model, g, assign_random(g, rng), draws(mode, rng))
     assert s.pairs.dtype == np.int64 and s.pairs.flags.f_contiguous
     assert s.counts.dtype == np.int64 and not s.counts.flags.writeable
     assert np.array_equal(s.counts, np.bincount(s.pairs.ravel(), minlength=g.n))
@@ -224,7 +228,7 @@ def test_observe_counts_name_the_same_unobserved_item():
     assert g.degrees.tolist().count(0) == 1  # vertex 4 is isolated
     rng = np.random.default_rng(5)
     sigma = assign_random(g, rng)
-    s = observe(NoisySorting(identity_permutation(12), 0.3), g, sigma, "bernoulli", rng)
+    s = observe(NoisySorting(identity_permutation(12), 0.3), g, sigma, rng)
     recount = np.bincount(s.pairs.ravel(), minlength=12)
     assert np.array_equal(s.counts, recount)
     item = int(np.argmin(recount))
@@ -252,7 +256,7 @@ def test_ns_asp_steps_allocate_few_edge_sized_arrays(mode):
     assert peak < 3.05 * unit
     rng = np.random.default_rng(8)
     model = NoisySorting(identity_permutation(n), 0.2)
-    s, peak = traced_peak(observe, model, g, assign_random(g, rng), mode, rng)
+    s, peak = traced_peak(observe, model, g, assign_random(g, rng), draws(mode, rng))
     assert peak < 4.05 * unit
     _, peak = traced_peak(empirical_scores, s)
     assert peak < 1.05 * unit
@@ -270,7 +274,7 @@ def test_score_concentration_improves_with_n():
         rng = np.random.default_rng(1000 + n)
         vals = []
         for _ in range(20):
-            s = observe(m, g, assign_random(g, rng), "bernoulli", rng)
+            s = observe(m, g, assign_random(g, rng), rng)
             vals.append(np.abs(empirical_scores(s) - tau_star).sum() / n)
         means.append(np.mean(vals))
     assert all(a >= b for a, b in zip(means, means[1:]))
@@ -279,7 +283,7 @@ def test_score_concentration_improves_with_n():
 def test_sample_matrix_view():
     g = make_topology("path", 4)
     m = make_noisy_sorting(identity_permutation(4), 0.1)
-    s = observe(m, g, identity_permutation(4), "expectation")
+    s = observe(m, g, identity_permutation(4), None)
     y, observed = sample_matrix(s)
     assert np.array_equal(observed, adjacency_matrix(g))
     assert np.allclose(y + y.T, 1.0)

@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -25,6 +27,7 @@ DELETED = {
     "sample_to_text", "sample_from_text", "to_edge_list", "from_edge_list",
     "matrix_to_csv", "matrix_from_csv", "permutation_to_line", "permutation_from_line",
     "is_sst", "inversion_set", "row_block_average", "check_comparison_matrix", "pav_isotonic",
+    "inverse_permutation",
 }
 MOVED = {
     "havel_hakimi", "InfeasibleDegreeSequenceError", "adjacency_matrix",
@@ -55,6 +58,27 @@ def test_removed_names_are_gone_and_moved_ones_live_in_the_oracles():
     for name in MOVED:
         assert getattr(oracles, name).__module__ == "oracles", name
     assert issubclass(oracles.InfeasibleDegreeSequenceError, ValueError)
+
+
+def _imported_names(module) -> set[str]:
+    """Absolute names of the modules, and the names in them, that module imports."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            base = importlib.util.resolve_name(base, module.__package__)
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_estimators_import_nothing_from_graphs():
+    # BAP reads the degrees it needs from its sample's counts, not from a Graph
+    names = _imported_names(importlib.import_module("paircomp.estimators"))
+    assert "paircomp.models" in names
+    assert not [name for name in names if f"{name}.".startswith("paircomp.graphs.")], names
 
 
 def _readme_section(heading: str) -> list[str]:
