@@ -9,6 +9,7 @@ block, and project onto the permuted bivariate isotonic set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,12 +244,17 @@ def block_partition(values, t: float, upper: float) -> BlockPartition:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or len(v) == 0:
         raise ValueError("values must be a nonempty vector")
-    if np.any(v < 0):
+    lo, hi = float(v.min()), float(v.max())  # a NaN anywhere makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("values must be finite")
+    if not math.isfinite(upper):
+        raise ValueError(f"upper must be finite, got {upper}")
+    if lo < 0:
         raise ValueError("values must be nonnegative")
-    if np.any(v > upper):
+    if hi > upper:
         raise ValueError(f"values must not exceed {upper}")
-    if t <= 0:
-        raise ValueError("threshold must be positive")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"threshold t must be positive and finite, got {t}")
     # interval lows floor(k t), k = 0, 1, ...: those below upper need k t < ceil(upper),
     # and keeping only them (at least [0.]) puts values equal to upper in the last
     lows = np.floor(np.arange(int(np.ceil(upper) / t) + 2) * t)

@@ -22,8 +22,6 @@ __all__ = [
     "check_permutation",
     "identity_permutation",
     "kt_distance",
-    "inversion_table",
-    "table_to_permutation",
     "NoisySorting",
     "make_noisy_sorting",
     "sample_sst_bands",
@@ -59,15 +57,18 @@ def _invert(p: np.ndarray, dtype=np.int64) -> np.ndarray:
     return inv
 
 
-def _merge_levels(a: np.ndarray):
-    """Bottom-up merge levels of a permutation a.
-
-    Each level yields its right blocks' values and, for each, how many values
-    of the paired left block exceed it; summed over all levels, these counts
-    are each value's larger predecessors in a.
-    """
+def kt_distance(p, q) -> int:
+    """Number of discordant item pairs between two rankings."""
+    p = check_permutation(p)
+    q = check_permutation(q)
+    if len(p) != len(q):
+        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
+    # q-ranks listed in p-rank order; inversions of that sequence are
+    # exactly the pairs ordered one way by p and the other way by q
+    a = q[_invert(p)]
     n = len(a)
     pos = np.arange(n)
+    total = 0
     width = 1
     # aligned blocks of `width` are each sorted.  With key = b * n + value for
     # block pair b, the left blocks' keys form one sorted array; a right key
@@ -78,46 +79,10 @@ def _merge_levels(a: np.ndarray):
         key = block * n + a
         right = (pos // width) % 2 == 1
         above = (block[right] + 1) * width - np.searchsorted(key[~right], key[right], side="right")
-        yield a[right], above
+        total += int(above.sum())
         a = np.sort(key) - block * n
         width *= 2
-
-
-def kt_distance(p, q) -> int:
-    """Number of discordant item pairs between two rankings."""
-    p = check_permutation(p)
-    q = check_permutation(q)
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    # q-ranks listed in p-rank order; inversions of that sequence are
-    # exactly the pairs ordered one way by p and the other way by q
-    return sum(int(above.sum()) for _, above in _merge_levels(q[np.argsort(p)]))
-
-
-def inversion_table(p) -> np.ndarray:
-    """b[i] = number of items j > i ranked better than item i."""
-    p = check_permutation(p)
-    n = len(p)
-    # item i sits at position n - 1 - i of s with value n - 1 - p[i], so its
-    # later, better-ranked items are the larger predecessors of that value
-    s = n - 1 - p[::-1]
-    cnt = np.zeros(n, dtype=np.int64)
-    for values, above in _merge_levels(s):
-        cnt[values] += above
-    return cnt[n - 1 - p]
-
-
-def table_to_permutation(b) -> np.ndarray:
-    """Inverse of :func:`inversion_table`."""
-    t = np.asarray(b, dtype=np.int64)
-    n = len(t)
-    if np.any(t < 0) or np.any(t > np.arange(n - 1, -1, -1)):
-        raise ValueError("table entry out of range {0, ..., n-i-1}")
-    avail = list(range(n))
-    ranks = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        ranks[i] = avail.pop(int(t[i]))
-    return ranks
+    return total
 
 
 @dataclass(frozen=True)

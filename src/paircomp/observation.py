@@ -69,6 +69,8 @@ def observe(
     rng=None sets Y_ij = M_ij exactly (expectation mode, the
     infinite-sample-per-pair test hook).  rng has no default.
     """
+    if rng is not None and not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator or None, got {type(rng).__name__}")
     dense = not isinstance(m, NoisySorting)
     if dense and (m.ndim != 2 or m.shape[0] != m.shape[1]):
         raise ValueError(f"comparison matrix must be square, got {m.shape}")

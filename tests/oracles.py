@@ -1,7 +1,8 @@
 """The tests' reference implementations.
 
 Small permutation, matrix and graph helpers the tests compare against or
-build inputs with, none of which the package itself calls, and the exact
+build inputs with, none of which the package itself calls (among them the
+paper's inversion tables, which only its proofs use), and the exact
 biso projections from the duals of isotonic regression.  The projections
 are independent of ``project_biso``'s Dykstra sweeps: scipy's NNLS and BVLS
 solve the dual, and each oracle returns its KKT residual so a caller can
@@ -16,6 +17,29 @@ from paircomp import Graph, check_permutation, make_graph
 
 def reverse_permutation(n: int) -> np.ndarray:
     return np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def inversion_table(p) -> np.ndarray:
+    """b[i] = number of items j > i ranked better than item i, counted on
+    the n x n later-is-smaller mask."""
+    p = np.asarray(p)
+    n = len(p)
+    later_is_smaller = p[:, None] > p[None, :]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return (later_is_smaller & upper).sum(axis=1).astype(np.int64)
+
+
+def table_to_permutation(b) -> np.ndarray:
+    """Inverse of :func:`inversion_table`."""
+    t = np.asarray(b, dtype=np.int64)
+    n = len(t)
+    if np.any(t < 0) or np.any(t > np.arange(n - 1, -1, -1)):
+        raise ValueError("table entry out of range {0, ..., n-i-1}")
+    avail = list(range(n))
+    ranks = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        ranks[i] = avail.pop(int(t[i]))
+    return ranks
 
 
 def permute_matrix(m: np.ndarray, ranks) -> np.ndarray:

@@ -16,7 +16,6 @@ from paircomp import (
     asp_estimate,
     frobenius_error,
     identity_permutation,
-    inversion_table,
     is_biso,
     kt_distance,
     make_noisy_sorting,
@@ -29,10 +28,14 @@ from paircomp import (
     project_biso,
     records_to_csv,
     run_sweep,
-    table_to_permutation,
     fit_slope,
 )
-from oracles import adjacency_matrix, biso_projection_by_nnls
+from oracles import (
+    adjacency_matrix,
+    biso_projection_by_nnls,
+    inversion_table,
+    table_to_permutation,
+)
 
 MASTER_SEED = 20250810
 

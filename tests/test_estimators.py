@@ -481,6 +481,22 @@ def test_block_partition_top_value_and_bounds():
     assert [g.tolist() for g in c.groups] == [[0, 1, 2]]
 
 
+@pytest.mark.parametrize(
+    "values, t, upper, match",
+    [
+        ([0.0, 1.0], 1.0, np.nan, "upper must be finite"),
+        ([0.0, 1.0], 1.0, np.inf, "upper must be finite"),
+        ([0.0, 1.0], np.nan, 1.0, "threshold t must be positive and finite"),
+        ([0.0, 1.0], np.inf, 1.0, "threshold t must be positive and finite"),
+        ([0.0, np.nan], 1.0, 1.0, "values must be finite"),
+    ],
+    ids=["upper-nan", "upper-inf", "t-nan", "t-inf", "values-nan"],
+)
+def test_block_partition_rejects_non_finite_input(values, t, upper, match):
+    with pytest.raises(ValueError, match=match):
+        block_partition(np.array(values), t, upper=upper)
+
+
 def test_block_partition_invariants_random():
     rng = np.random.default_rng(10)
     for _ in range(40):

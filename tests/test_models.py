@@ -10,18 +10,22 @@ from paircomp import (
     check_permutation,
     frobenius_error,
     identity_permutation,
-    inversion_table,
     is_biso,
     kt_distance,
     make_noisy_sorting,
     noisy_sorting_error,
     sample_sst_bands,
-    table_to_permutation,
 )
 
 from paircomp.models import _invert
 
-from oracles import permute_matrix, reverse_permutation, scores
+from oracles import (
+    inversion_table,
+    permute_matrix,
+    reverse_permutation,
+    scores,
+    table_to_permutation,
+)
 
 
 def kt_bruteforce(p, q):
@@ -110,8 +114,21 @@ def test_check_permutation_rejects_non_integral_ranks():
     assert kt_distance([1.0, 0.0], [0, 1]) == 1
 
 
+def test_kt_distance_memory_is_linear():
+    n = 4096
+    rng = np.random.default_rng(24)
+    p, q = random_perm(rng, n), random_perm(rng, n)
+    tracemalloc.start()
+    try:
+        kt_distance(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * n  # the dense discordance mask alone would take n * n bytes
+
+
 def test_inverse_permutation():
-    # the private inverse behind observe and asp_sort: np.argsort without the sort
+    # the private inverse behind observe, asp_sort and kt_distance: np.argsort without the sort
     rng = np.random.default_rng(4)
     p = random_perm(rng, 17)
     for dtype in (np.int32, np.int64):
@@ -122,43 +139,14 @@ def test_inverse_permutation():
 
 
 # ---------------------------------------------------------------------------
-# inversion tables
+# inversion tables: the paper's proofs use them, the package does not; the
+# oracles' O(n^2) tables check kt_distance by an independent count
 # ---------------------------------------------------------------------------
 
 
 def test_inversion_table_examples():
     assert inversion_table(identity_permutation(5)).tolist() == [0] * 5
     assert inversion_table(reverse_permutation(3)).tolist() == [2, 1, 0]
-
-
-def inversion_table_dense(p):
-    """Independent oracle: counts from the n x n later-is-smaller mask."""
-    p = np.asarray(p)
-    n = len(p)
-    later_is_smaller = p[:, None] > p[None, :]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return (later_is_smaller & upper).sum(axis=1).astype(np.int64)
-
-
-def test_inversion_table_matches_dense_oracle():
-    rng = np.random.default_rng(23)
-    for n in [*range(1, 40), 257, 1000]:
-        p = random_perm(rng, n)
-        table = inversion_table(p)
-        assert table.dtype == np.int64
-        assert np.array_equal(table, inversion_table_dense(p))
-
-
-def test_inversion_table_memory_is_linear():
-    n = 4096
-    p = random_perm(np.random.default_rng(24), n)
-    tracemalloc.start()
-    try:
-        inversion_table(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 200 * n  # the dense mask alone would take n * n bytes
 
 
 def test_inversion_table_sums_to_kt_from_identity():

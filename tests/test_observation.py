@@ -91,6 +91,14 @@ def test_observe_validates_inputs():
         observe(m4, g, identity_permutation(4))  # rng has no default: None or a generator
 
 
+@pytest.mark.parametrize("rng", [7, np.random.RandomState(7)], ids=["int-seed", "RandomState"])
+def test_observe_rejects_an_rng_that_is_not_a_generator(rng):
+    g = make_topology("path", 4)
+    m = make_noisy_sorting(identity_permutation(4), 0.1)
+    with pytest.raises(TypeError, match="rng must be a numpy Generator or None, got"):
+        observe(m, g, identity_permutation(4), rng)
+
+
 def _noisy_sorting_4(entries):
     m = make_noisy_sorting(identity_permutation(4), 0.1)
     for ij, value in entries.items():

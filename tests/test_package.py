@@ -31,7 +31,14 @@ DELETED = {
 }
 MOVED = {
     "havel_hakimi", "InfeasibleDegreeSequenceError", "adjacency_matrix",
-    "permute_matrix", "scores", "reverse_permutation",
+    "permute_matrix", "scores", "reverse_permutation", "inversion_table", "table_to_permutation",
+}
+# public names no src/ code reads, each kept on purpose
+UNREFERENCED = {
+    "sample_matrix": "perfbench/tracer.py looks it up by name (ROADMAP item 3)",
+    "block_average": "perfbench/tracer.py looks it up by name (ROADMAP item 3)",
+    "is_biso": "the biso membership reference that acceptance criterion 08 checks",
+    "adversarial_pair": "the worst-case certificate that acceptance criterion 09 checks",
 }
 
 
@@ -79,6 +86,38 @@ def test_estimators_import_nothing_from_graphs():
     names = _imported_names(importlib.import_module("paircomp.estimators"))
     assert "paircomp.models" in names
     assert not [name for name in names if f"{name}.".startswith("paircomp.graphs.")], names
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Names and attributes the code in tree reads, each outside the
+    function or class that defines that name."""
+    names = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in defining:
+                names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(tree, frozenset())
+    return names
+
+
+def test_every_public_name_is_read_in_src():
+    src = Path(paircomp.__file__).parent
+    read = set().union(
+        *(_read_names(ast.parse(path.read_text(encoding="utf-8"))) for path in src.glob("*.py"))
+    )
+    public = {
+        name
+        for module in LIBRARY_MODULES
+        for name in importlib.import_module(f"paircomp.{module}").__all__
+    }
+    assert sorted(public - read) == sorted(UNREFERENCED)
 
 
 def _readme_section(heading: str) -> list[str]:
