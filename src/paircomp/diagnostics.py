@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, degree_functional
-from .models import NoisySorting, identity_permutation
+from .models import NoisySorting, _invert
 
 __all__ = [
     "SearchBudgetError",
@@ -196,12 +196,9 @@ def adversarial_pair(g: Graph, mode: str) -> AdversarialPair:
     top1 = [v for block in blocks for v in block]
     top2 = [v for block in reversed(blocks) for v in block]
     rest = sorted(set(range(g.n)).difference(top1))
-    pi1 = identity_permutation(g.n)
-    pi2 = identity_permutation(g.n)
-    pi1[top1 + rest] = pi2[top2 + rest] = np.arange(g.n)
     return AdversarialPair(
-        m1=NoisySorting(pi1, ADVERSARIAL_LAMBDA),
-        m2=NoisySorting(pi2, ADVERSARIAL_LAMBDA),
+        m1=NoisySorting(_invert(np.array(top1 + rest)), ADVERSARIAL_LAMBDA),
+        m2=NoisySorting(_invert(np.array(top2 + rest)), ADVERSARIAL_LAMBDA),
         mode=mode,
         witness=witness,
     )

@@ -325,10 +325,9 @@ def bap_estimate(s1: ObservationSample, s2: ObservationSample) -> np.ndarray:
     group follow the score ranking; the k x k block means of the second
     sample (the first again for single-sample BAP) over those labels go to
     :func:`project_biso` with the group sizes, at tolerance BAP_TOL.  Raises
-    RuntimeError when the projection stops without converging.
+    RuntimeError when the projection stops without converging, and
+    :func:`empirical_scores`' ValueError when an item has no comparisons.
     """
-    if s1.counts.min() == 0:
-        raise ValueError("comparison graph must have no isolated vertices")
     if s1.n != s2.n:
         raise ValueError(f"sample sizes differ: {s1.n} and {s2.n}")
     n = s1.n

@@ -152,10 +152,12 @@ class BisoCheck:
 
 
 def is_biso(m: np.ndarray, tol: float) -> BisoCheck:
-    """Check membership in the bivariate isotonic set, reporting the first violation."""
+    """Check a finite square m for the bivariate isotonic set, reporting the first violation."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
+        raise ValueError(f"expected a finite square matrix, got shape {m.shape}")
     n = m.shape[0]
     skew = np.abs(m + m.T - 1.0)
     if skew.max(initial=0.0) > tol:

@@ -23,9 +23,6 @@ __all__ = [
     "sample_matrix",
 ]
 
-RANGE_TOL = 1e-12  # how far outside [0, 1] an observed dense entry may lie
-
-
 @dataclass(frozen=True)
 class ObservationSample:
     """Observed pairwise outcomes for one design draw.
@@ -85,9 +82,7 @@ def observe(
     # the gather is a fresh array, so a Bernoulli draw overwrites it with 1.0 or 0.0
     values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
     # before any draw; NaN fails every comparison, so it fails this check too
-    if dense and not (
-        values.min(initial=0.5) >= -RANGE_TOL and values.max(initial=0.5) <= 1.0 + RANGE_TOL
-    ):
+    if dense and not (values.min(initial=0.5) >= 0.0 and values.max(initial=0.5) <= 1.0):
         raise ValueError("entries must lie in [0, 1]")
     if rng is not None:
         np.less(rng.random(len(values)), values, out=values)

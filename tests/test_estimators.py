@@ -669,7 +669,7 @@ def test_bap_rejects_isolated_vertex():
     sigma = np.roll(ident(8), 3)  # item 2 sits at vertex 7
     s = expectation_sample(make_noisy_sorting(ident(8), 0.3), iso, sigma)
     assert s.counts.tolist().index(0) == 2
-    with pytest.raises(ValueError, match="comparison graph must have no isolated vertices"):
+    with pytest.raises(ValueError, match="item 2 has no observed comparisons"):
         bap_estimate(s, s)
 
 

@@ -126,6 +126,21 @@ def test_run_trial_records_failures():
     assert "failed trials" in text
 
 
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_every_estimator_gives_an_isolated_item_the_same_reason(mode):
+    # vertex 2 of this graph is isolated; each trial assigns some item to it
+    base = small_spec(graph_family="erdos_renyi", n_values=(8,), master_seed=11, mode=mode).__dict__
+    g = harness.build_graph(ExperimentSpec(**{**base, "edge_probability": 0.3}), 8)
+    assert g.degrees.tolist().count(0) == 1
+    errors = {}
+    for est in ("asp", "bap", "bap1"):
+        spec = ExperimentSpec(**{**base, "edge_probability": 0.3, "estimator": est})
+        errors[est] = [run_trial(spec, t, g).error for t in range(4)]
+    assert errors["asp"] == errors["bap"] == errors["bap1"]
+    reason = re.compile(r"ValueError: item \d+ has no observed comparisons")
+    assert all(reason.fullmatch(e) for e in errors["asp"])
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.5])
 def test_ns_asp_closed_form_error_matches_dense(lam):
     # replay each trial's draws on the dense M* and score the dense M_hat

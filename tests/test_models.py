@@ -367,6 +367,15 @@ def test_is_biso_cases():
     assert is_biso(m, 0.1).violation == "column 0 increases at row 1 -> 2 by 0.21"
 
 
+@pytest.mark.parametrize(
+    "m", [[[0.5, np.nan], [np.nan, 0.5]], np.full((2, 3), 0.5), np.full(3, 0.5)],
+    ids=["nan", "not-square", "1-d"],
+)
+def test_is_biso_rejects_a_malformed_matrix(m):
+    with pytest.raises(ValueError, match="expected a finite square matrix"):
+        is_biso(m, 0.1)
+
+
 def test_frobenius_error_examples():
     m = make_noisy_sorting(identity_permutation(3), 0.4)
     m2 = make_noisy_sorting(reverse_permutation(3), 0.4)

@@ -113,8 +113,14 @@ def _noisy_sorting_4(entries):
         (_noisy_sorting_4({(0, 1): 1.2, (1, 0): -0.2}), "entries must lie in [0, 1]"),
         # path edge 0-1 is observed under the identity
         (_noisy_sorting_4({(0, 1): np.nan}), "entries must lie in [0, 1]"),
+        # [0, 1] is exact: no rounding slack lets a Y outside it into the sample
+        (_noisy_sorting_4({(0, 1): 1.0 + 5e-13}), "entries must lie in [0, 1]"),
+        (_noisy_sorting_4({(0, 1): -5e-13}), "entries must lie in [0, 1]"),
     ],
-    ids=["not-square", "outside-unit-interval", "nan-at-an-observed-pair"],
+    ids=[
+        "not-square", "outside-unit-interval", "nan-at-an-observed-pair",
+        "just-above-1", "just-below-0",
+    ],
 )
 def test_observe_rejects_invalid_matrix(m, message):
     for mode in ("bernoulli", "expectation"):
