@@ -7,14 +7,12 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import minimax_lower_bound, report_to_json, report_to_text
-from .graphs import make_topology
 from .harness import (
     _CONFIG_KEYS,
     ExperimentSpec,
     _spec_from_values,
+    build_graph,
     fit_slope,
     parse_config,
     records_from_csv,
@@ -103,10 +101,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     try:  # bad flags or topology; a graph the report cannot take still raises
         s = _spec_from_args(args)
-        rng = np.random.default_rng(s.master_seed) if s.graph_family == "erdos_renyi" else None
-        g = make_topology(
-            s.graph_family, s.n_values[0], alpha=s.bipartite_alpha, p=s.edge_probability, rng=rng
-        )
+        g = build_graph(s, s.n_values[0])
     except ValueError as exc:
         return _error(exc)
     report = minimax_lower_bound(g)

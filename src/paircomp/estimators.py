@@ -163,8 +163,8 @@ def project_biso(
     iterations counts sweeps.  x must be finite.
     """
     x0 = np.asarray(x, dtype=np.float64)
-    if x0.ndim != 2 or x0.shape[0] != x0.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x0.shape}")
+    if x0.ndim != 2 or x0.shape[0] != x0.shape[1] or x0.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError("x must be finite")
     if tol <= 0:

@@ -55,7 +55,6 @@ __all__ = [
 _MODELS = ("ns", "sst")
 _ESTIMATORS = ("asp", "bap", "bap1")
 _MODES = ("bernoulli", "expectation")
-_GRAPH_STREAM_TAG = 0x67726170680AF00D  # distinct stream for graph randomness
 
 _MASK64 = (1 << 64) - 1
 
@@ -127,17 +126,14 @@ def derive_seed(master_seed: int, *parts: int) -> int:
 
 
 def build_graph(spec: ExperimentSpec, n: int) -> Graph:
-    """Topology for one sweep point; Erdos-Renyi is seeded by (master_seed, n)
-    only, so the graph is fixed across trials."""
-    rng = None
-    if spec.graph_family == "erdos_renyi":
-        rng = np.random.default_rng(derive_seed(spec.master_seed, n, _GRAPH_STREAM_TAG))
+    """Every command's topology at size n; Erdos-Renyi is seeded by master_seed
+    alone, so its graph is fixed across trials and is what `diagnose` reports on."""
     return make_topology(
         spec.graph_family,
         n,
         alpha=spec.bipartite_alpha,
         p=spec.edge_probability,
-        rng=rng,
+        rng=np.random.default_rng(spec.master_seed),
     )
 
 

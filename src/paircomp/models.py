@@ -179,8 +179,8 @@ def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
     """Squared Frobenius distance normalized by n^2."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected two nonempty square matrices, got {a.shape} and {b.shape}")
     d = a - b
     d *= d  # in place: one n x n temporary
     return float(d.sum() / a.shape[0] ** 2)
@@ -200,7 +200,10 @@ def noisy_sorting_error(n: int, kt: int, lam_a: float, lam_b: float) -> float:
     from fractions import Fraction
 
     hi_a, lo_a, hi_b, lo_b = (Fraction(0.5 + s * lam) for lam in (lam_a, lam_b) for s in (1, -1))
-    c = n * (n - 1) // 2 - kt
+    pairs = n * (n - 1) // 2
+    if n < 1 or not 0 <= kt <= pairs:
+        raise ValueError(f"need n >= 1 and kt in [0, n(n-1)/2], got n={n}, kt={kt}")
+    c = pairs - kt
     total = c * ((hi_a - hi_b) ** 2 + (lo_a - lo_b) ** 2) + kt * (
         (hi_a - lo_b) ** 2 + (lo_a - hi_b) ** 2
     )

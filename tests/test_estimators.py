@@ -438,6 +438,12 @@ def test_project_rejects_bad_sizes():
             project_biso(x, sizes=np.array(sizes))
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,)], ids=["empty", "not-square", "1-d"])
+def test_project_rejects_all_but_a_nonempty_square_matrix(shape):
+    with pytest.raises(ValueError, match="expected a nonempty square matrix"):
+        project_biso(np.full(shape, 0.5))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_project_rejects_non_finite_input(bad):
     x = np.full((3, 3), 0.5)

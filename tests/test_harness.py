@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import re
 import tracemalloc
@@ -128,7 +129,7 @@ def test_run_trial_records_failures():
 
 @pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
 def test_every_estimator_gives_an_isolated_item_the_same_reason(mode):
-    # vertex 2 of this graph is isolated; each trial assigns some item to it
+    # vertex 6 of this graph is isolated; each trial assigns some item to it
     base = small_spec(graph_family="erdos_renyi", n_values=(8,), master_seed=11, mode=mode).__dict__
     g = harness.build_graph(ExperimentSpec(**{**base, "edge_probability": 0.3}), 8)
     assert g.degrees.tolist().count(0) == 1
@@ -560,6 +561,23 @@ def test_cli_diagnose(tmp_path, capsys):
     assert cli_main(["diagnose", "--graph", "star", "--n", "5", "--out", str(path)]) == 0
     assert capsys.readouterr().out == ""
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_diagnose_and_simulate_build_one_erdos_renyi_graph(n, capsys):
+    # build_graph draws G(n, p) from default_rng(seed), as diagnose always did;
+    # none of these 30 graphs has an isolated vertex, so D(G) is defined
+    for seed in range(10):
+        spec = ExperimentSpec("erdos_renyi", (n,), trials=1, master_seed=seed, edge_probability=0.5)
+        g = harness.build_graph(spec, n)
+        ref = make_topology("erdos_renyi", n, p=0.5, rng=np.random.default_rng(seed))
+        assert np.array_equal(g.edges, ref.edges), seed
+        flags = ["--graph", "erdos_renyi", "--p", "0.5", "--n", str(n), "--seed", str(seed)]
+        assert cli_main(["diagnose", *flags, "--json"]) == 0
+        reported = json.loads(capsys.readouterr().out)["degree_functional"]
+        assert cli_main(["simulate", *flags, "--trials", "1"]) == 0
+        (rec,) = records_from_csv(capsys.readouterr().out)
+        assert rec.degree_functional == reported == degree_functional(g), seed
 
 
 def test_cli_stdout_csv(capsys):

@@ -259,6 +259,14 @@ def test_noisy_sorting_error_matches_dense_frobenius():
         assert math.isclose(closed, dense, rel_tol=1e-12)
 
 
+def test_noisy_sorting_error_rejects_an_impossible_size_or_distance():
+    for n, kt in [(3, 10), (3, 4), (3, -1), (0, 0), (-1, 0)]:
+        with pytest.raises(ValueError, match="need n >= 1 and kt in"):
+            noisy_sorting_error(n, kt, 0.2, 0.3)
+    assert noisy_sorting_error(1, 0, 0.2, 0.3) == 0.0  # no pairs: the diagonal is 1/2 in both
+    assert noisy_sorting_error(3, 3, 0.2, 0.3) == pytest.approx(2 * 3 * 0.5**2 / 9)
+
+
 def test_permute_matrix_convention():
     rng = np.random.default_rng(8)
     p = random_perm(rng, 7)
@@ -385,6 +393,20 @@ def test_frobenius_error_examples():
     assert frobenius_error(m, m2) == frobenius_error(m2, m)
     with pytest.raises(ValueError):
         frobenius_error(m, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (np.array([0.1, 0.9]), np.array([0.3, 0.2])),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+    ],
+    ids=["1-d", "not-square", "empty"],
+)
+def test_frobenius_error_rejects_all_but_two_square_matrices_of_one_shape(a, b):
+    with pytest.raises(ValueError, match="expected two nonempty square matrices"):
+        frobenius_error(a, b)
 
 
 def _traced_peak(f, *args):
