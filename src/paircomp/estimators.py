@@ -167,8 +167,8 @@ def project_biso(
         raise ValueError(f"expected a nonempty square matrix, got shape {x0.shape}")
     if not np.isfinite(x0).all():
         raise ValueError("x must be finite")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # False for NaN too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     k = x0.shape[0]
     sizes = np.ones(k, dtype=np.int64) if sizes is None else np.asarray(sizes)
     if sizes.shape != (k,) or not np.issubdtype(sizes.dtype, np.integer) or np.any(sizes <= 0):
@@ -257,6 +257,7 @@ def block_partition(values, t: float, upper: float) -> BlockPartition:
         raise ValueError(f"threshold t must be positive and finite, got {t}")
     # interval lows floor(k t), k = 0, 1, ...: those below upper need k t < ceil(upper),
     # and keeping only them (at least [0.]) puts values equal to upper in the last
+    t = max(t, 1.0)  # below 1, the lows are still every integer: the same labels
     lows = np.floor(np.arange(int(np.ceil(upper) / t) + 2) * t)
     lows = lows[: max(1, np.searchsorted(lows, upper))]
     labels = np.unique(np.searchsorted(lows, v, side="right"), return_inverse=True)[1]

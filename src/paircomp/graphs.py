@@ -9,7 +9,7 @@ usual small benchmark graphs (star, path, cycle, complete, Erdos-Renyi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,8 +66,8 @@ class Graph:
         return int(self.edges.shape[0])
 
 
-def make_graph(n: int, edges, family: str | None = None) -> Graph:
-    """Validate an edge list and build an immutable :class:`Graph`."""
+def make_graph(n: int, edges) -> Graph:
+    """Validate an edge list and build an immutable, untagged :class:`Graph`."""
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     e = np.asarray(edges)
@@ -78,10 +78,10 @@ def make_graph(n: int, edges, family: str | None = None) -> Graph:
     with np.errstate(invalid="ignore"):  # a float past int64 casts out of range
         e = e.astype(np.int64, copy=False)
     e = sort_pairs(e.reshape(-1, 2), n, validate=True)
-    return _frozen_graph(n, e, np.bincount(e.ravel("K"), minlength=n), family)
+    return _frozen_graph(n, e, np.bincount(e.ravel("K"), minlength=n))
 
 
-def _frozen_graph(n: int, edges: np.ndarray, degrees: np.ndarray, family) -> Graph:
+def _frozen_graph(n: int, edges: np.ndarray, degrees: np.ndarray, family=None) -> Graph:
     degrees = degrees.astype(np.int64, copy=False)
     edges.setflags(write=False)
     degrees.setflags(write=False)
@@ -219,11 +219,11 @@ def make_topology(
         right += left
         right %= h
         right += h
-        return make_graph(n, np.column_stack((left, right)), family=family)
+        return replace(make_graph(n, np.column_stack((left, right))), family=family)
     elif family == "cycle":
         if n < 3:
             raise ValueError(f"cycle requires n >= 3, got n={n}")
-        return make_graph(n, np.column_stack((u, (u + 1) % n)), family=family)
+        return replace(make_graph(n, np.column_stack((u, (u + 1) % n))), family=family)
     else:  # erdos_renyi
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("erdos_renyi requires p in (0, 1]")
@@ -231,7 +231,7 @@ def make_topology(
             raise ValueError("erdos_renyi requires a seeded generator")
         iu = np.triu_indices(n, k=1)
         keep = rng.random(len(iu[0])) < p
-        return make_graph(n, np.column_stack((iu[0][keep], iu[1][keep])), family=family)
+        return replace(make_graph(n, np.column_stack((iu[0][keep], iu[1][keep]))), family=family)
     return _interval_graph(n, first, last, family)
 
 

@@ -153,8 +153,8 @@ class BisoCheck:
 
 def is_biso(m: np.ndarray, tol: float) -> BisoCheck:
     """Check a finite square m for the bivariate isotonic set, reporting the first violation."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < np.inf:  # False for NaN too
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.isfinite(m).all():
         raise ValueError(f"expected a finite square matrix, got shape {m.shape}")
@@ -175,10 +175,13 @@ def is_biso(m: np.ndarray, tol: float) -> BisoCheck:
     return BisoCheck()
 
 
-def frobenius_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Frobenius distance normalized by n^2."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+def frobenius_error(a, b) -> float:
+    """Squared Frobenius distance normalized by n^2; a :class:`NoisySorting`
+    on either side is read as its dense :func:`make_noisy_sorting` matrix."""
+    a, b = (
+        make_noisy_sorting(m.ranks, m.lam) if isinstance(m, NoisySorting) else np.asarray(m, float)
+        for m in (a, b)
+    )
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected two nonempty square matrices, got {a.shape} and {b.shape}")
     d = a - b

@@ -111,6 +111,15 @@ def havel_hakimi(degseq) -> Graph:
     return g
 
 
+def block_partition_labels_at_stride_t(values, t, upper):
+    """block_partition's labels with every interval low floor(k t) below
+    ceil(upper) built, k = 0, 1, ...: about ceil(upper) / t lows, however small t."""
+    v = np.asarray(values, dtype=np.float64)
+    lows = np.floor(np.arange(int(np.ceil(upper) / t) + 2) * t)
+    lows = lows[: max(1, np.searchsorted(lows, upper))]
+    return np.unique(np.searchsorted(lows, v, side="right"), return_inverse=True)[1]
+
+
 def triangle_differences(n):
     """Strict upper triangle indices of an n x n grid and the matrix D of its
     constraints: D u >= 0 says rows nondecrease and columns nonincrease."""

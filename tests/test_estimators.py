@@ -30,6 +30,7 @@ from paircomp import (
 from paircomp import estimators
 from oracles import (
     biso_projection_by_nnls,
+    block_partition_labels_at_stride_t,
     permute_matrix,
     weighted_grid_projection_by_bvls,
 )
@@ -452,6 +453,16 @@ def test_project_rejects_non_finite_input(bad):
         project_biso(x)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf], ids=["nan", "inf"])
+def test_tolerances_must_be_finite(tol):
+    # a NaN tol passes every comparison; an infinite one stops the projection after one sweep
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        is_biso([[0.5, 0.0], [1.0, 0.5]], tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        project_biso(np.random.default_rng(8).random((8, 8)), tol=tol)
+    assert is_biso(np.full((2, 2), 0.5), 0.0)  # is_biso still accepts an exact check
+
+
 # ---------------------------------------------------------------------------
 # blocking
 # ---------------------------------------------------------------------------
@@ -557,6 +568,31 @@ def test_block_partition_matches_interval_loop_oracle():
             expect[grp] = k
         assert np.array_equal(c.labels, expect)
         assert c.labels.dtype == np.int64
+
+
+def test_block_partition_below_unit_t_matches_stride_t_labels():
+    rng = np.random.default_rng(29)
+    for it in range(500):
+        n = int(rng.integers(1, 60))
+        v = rng.random(n) * n
+        if it % 3 == 0:
+            v = np.round(v)  # values on the interval lows
+        t = (1.0, np.nextafter(1.0, 0.0), 1e-3)[it] if it < 3 else rng.uniform(1e-3, 1.0)
+        upper = float(n) if it % 2 else float(v.max())
+        want = block_partition_labels_at_stride_t(v, t, upper)
+        assert np.array_equal(block_partition(v, t, upper).labels, want)
+
+
+def test_block_partition_memory_does_not_grow_as_t_shrinks():
+    # at stride t this call builds a million interval lows; at most ceil(upper) + 2 are distinct
+    tracemalloc.start()
+    try:
+        c = block_partition([0.0, 1.0], 1e-4, upper=100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.labels.tolist() == [0, 1]
+    assert peak < 64 * 1024
 
 
 def test_block_partition_labels_read_only():

@@ -204,6 +204,14 @@ def test_make_graph_validation():
     assert g.edges.tolist() == sorted(sorted(e) for e in edges.tolist())
 
 
+def test_only_make_topology_tags_a_family():
+    # diagnostics trust a tag's closed form, so an edge list cannot claim one
+    path = [(0, 1), (1, 2), (2, 3)]
+    assert make_graph(4, path).family is None
+    with pytest.raises(TypeError):
+        make_graph(4, path, family="complete")
+
+
 def test_edges_are_immutable():
     g = make_topology("path", 5)
     with pytest.raises(ValueError):

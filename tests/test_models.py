@@ -395,6 +395,24 @@ def test_frobenius_error_examples():
         frobenius_error(m, np.zeros((4, 4)))
 
 
+def test_frobenius_error_reads_a_noisy_sorting_as_its_dense_matrix():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 8, 21):
+        p, q = rng.permutation(n), rng.permutation(n)
+        a, b = NoisySorting(p, 0.3), NoisySorting(q, 0.15)
+        dense_a, dense_b = make_noisy_sorting(p, 0.3), make_noisy_sorting(q, 0.15)
+        sst = sample_sst_bands(n, rng)
+        want = frobenius_error(dense_a, dense_b)
+        for pair in ((a, dense_b), (dense_a, b), (a, b)):
+            assert frobenius_error(*pair) == want  # bit for bit
+        assert frobenius_error(a, sst) == frobenius_error(dense_a, sst)
+        assert frobenius_error(sst, b) == frobenius_error(sst, dense_b)
+    small = NoisySorting(identity_permutation(3), 0.4)
+    for pair in ((small, np.zeros((4, 4))), (np.zeros((4, 4)), small)):
+        with pytest.raises(ValueError, match="expected two nonempty square matrices"):
+            frobenius_error(*pair)
+
+
 @pytest.mark.parametrize(
     "a,b",
     [
