@@ -11,6 +11,7 @@ from .diagnostics import minimax_lower_bound, report_to_json, report_to_text
 from .harness import (
     _CONFIG_KEYS,
     ExperimentSpec,
+    _slope_line,
     _spec_from_values,
     build_graph,
     fit_slope,
@@ -81,20 +82,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _error(exc)
     sys.stderr.write(summarize(records))
-    try:
-        fits = fit_slope(records)
-    except ValueError as exc:
-        sys.stderr.write(f"slope: skipped ({exc})\n")
-        fits = {}
-    for key, fit in fits.items():
-        name = "/".join(str(k) for k in key)
-        if fit.slope is None:
-            sys.stderr.write(f"slope[{name}]: exact (zero mean error)\n")
-        else:
-            sys.stderr.write(
-                f"slope[{name}]: {fit.slope:.4f} (intercept {fit.intercept:.4f}, "
-                f"r2 {fit.r_squared:.4f}, {fit.n_points} sizes)\n"
-            )
     return 1 if any(r.error for r in records) else 0
 
 
@@ -124,14 +111,7 @@ def _cmd_slope(args: argparse.Namespace) -> int:
         sys.stderr.write(f"slope: {exc}\n")
         return 1
     for key, fit in fits.items():
-        name = "/".join(str(k) for k in key)
-        if fit.slope is None:
-            print(f"{name}: exact (zero mean error)")
-        else:
-            print(
-                f"{name}: slope={fit.slope:.6g} intercept={fit.intercept:.6g} "
-                f"r2={fit.r_squared:.6g} sizes={fit.n_points}"
-            )
+        print(_slope_line(key, fit))
     return 0
 
 

@@ -79,6 +79,8 @@ class ExperimentSpec:
             raise ValueError(f"graph_family must be one of {GRAPH_FAMILIES}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if len(self.n_values) == 0 or any(
             b <= a for a, b in zip(self.n_values, self.n_values[1:])
         ):
@@ -298,29 +300,50 @@ def records_to_csv(records, include_runtime: bool = False) -> str:
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
-    """Parse records_to_csv output; rows without metrics come back failed."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
+    """Parse records_to_csv output; rows without metrics come back failed, and a
+    row the fit cannot use (n < 1, frob_err not finite and >= 0) names its line."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError("missing or unexpected CSV header")
     records = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(_CSV_COLUMNS):
             raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(cells)}: {ln!r}")
         values = {
             field: parse(cell) for (field, parse), cell in zip(_CSV_COLUMNS.values(), cells)
         }
-        error = None if values["frob_err"] is not None else "failed (metrics absent in CSV)"
+        n, frob_err = values["n"], values["frob_err"]
+        if n < 1:
+            raise ValueError(f"line {lineno}: n must be >= 1, got {n}")
+        if frob_err is not None and not 0.0 <= frob_err < np.inf:
+            raise ValueError(f"line {lineno}: frob_err must be finite and >= 0, got {frob_err}")
+        error = None if frob_err is not None else "failed (metrics absent in CSV)"
         records.append(TrialRecord(**values, error=error))
     return records
 
 
+def _slope_line(key: tuple, fit: SlopeFit) -> str:
+    """The one rendering of a fit, in the sweep's report and from `slope`."""
+    name = "/".join(str(k) for k in key)
+    if fit.slope is None:
+        return f"slope[{name}]: exact (zero mean error)"
+    return (
+        f"slope[{name}]: {fit.slope:.4f} (intercept {fit.intercept:.4f}, "
+        f"r2 {fit.r_squared:.4f}, {fit.n_points} sizes)"
+    )
+
+
 def summarize(records) -> str:
-    """Mean error per n plus a failure footer."""
+    """A sweep's stderr report: mean error per n, failures, then the slopes."""
     lines = [f"n={n}: mean frob_err={err:.6g}" for n, err in mean_errors(records).items()]
     failures = [r for r in records if r.error is not None]
     lines.append(f"failed trials: {len(failures)}")
     lines.extend(f"  n={r.n} trial={r.trial_index}: {r.error}" for r in failures)
+    try:
+        lines.extend(_slope_line(key, fit) for key, fit in fit_slope(records).items())
+    except ValueError as exc:
+        lines.append(f"slope: skipped ({exc})")
     return "\n".join(lines) + "\n"
 
 

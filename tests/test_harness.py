@@ -385,6 +385,29 @@ def test_csv_round_trip():
     assert all(isinstance(r.runtime_ms, float) for r in timed)
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("path,8,0,1,asp,ns,nan,,,,", "line 2: frob_err must be finite and >= 0, got nan"),
+        ("path,8,0,1,asp,ns,inf,,,,", "line 2: frob_err must be finite and >= 0, got inf"),
+        ("path,8,0,1,asp,ns,-0.5,,,,", "line 2: frob_err must be finite and >= 0, got -0.5"),
+        ("path,0,0,1,asp,ns,0.5,,,,", "line 2: n must be >= 1, got 0"),
+        ("\npath,0,0,1,asp,ns,,,,,", "line 3: n must be >= 1, got 0"),
+    ],
+    ids=["frob-nan", "frob-inf", "frob-negative", "n-zero", "n-zero-failed-after-blank"],
+)
+def test_csv_rejects_rows_the_fit_cannot_use(tmp_path, capsys, row, reason):
+    # each row follows one good row, so the fit would otherwise see two sizes
+    text = f"{CSV_HEADER}\n{row}\npath,16,0,1,asp,ns,0.25,,,,\n"
+    with pytest.raises(ValueError) as exc:
+        records_from_csv(text)
+    assert str(exc.value) == reason
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert cli_main(["slope", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"paircomp: error: {reason}\n")
+
+
 def test_csv_runtime_opt_in():
     recs = run_sweep(small_spec(n_values=(8,), trials=1))
     without = records_to_csv(recs).splitlines()[1]
@@ -425,6 +448,18 @@ def test_parse_config():
         parse_config("nonsense = 1")
     with pytest.raises(ValueError):
         parse_config("graph = path")  # n_list missing
+
+
+def test_negative_seed_is_a_spec_error(capsys):
+    reason = "master_seed must be >= 0"
+    with pytest.raises(ValueError, match=reason):
+        parse_config("graph = path\nn_list = 8\nseed = -1\n")
+    for argv in (
+        ["simulate", "--graph", "path", "--n-list", "8,16", "--seed", "-1"],
+        ["diagnose", "--graph", "star", "--n", "8", "--seed", "-1"],
+    ):
+        assert cli_main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"paircomp: error: {reason}\n"), argv
 
 
 def test_simulate_flags_give_the_config_spec():
@@ -488,7 +523,9 @@ def test_cli_simulate_and_slope(tmp_path, capsys):
 
     code = cli_main(["slope", "--input", str(out)])
     assert code == 0
-    assert "slope=" in capsys.readouterr().out
+    number = r"-?\d+\.\d{4}"
+    line = rf"slope\[two_cliques/asp/ns\]: {number} \(intercept {number}, r2 {number}, 2 sizes\)\n"
+    assert re.fullmatch(line, capsys.readouterr().out)
 
 
 def test_cli_exact_slope_lines(tmp_path, capsys):
@@ -498,7 +535,35 @@ def test_cli_exact_slope_lines(tmp_path, capsys):
     assert cli_main(args + ["--mode", "expectation", "--trials", "2", "--out", str(out)]) == 0
     assert capsys.readouterr().err.splitlines()[-1] == "slope[path/asp/ns]: exact (zero mean error)"
     assert cli_main(["slope", "--input", str(out)]) == 0
-    assert capsys.readouterr().out == "path/asp/ns: exact (zero mean error)\n"
+    assert capsys.readouterr().out == "slope[path/asp/ns]: exact (zero mean error)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--graph", "two_cliques", "--n-list", "8,16,32", "--trials", "3", "--seed", "1"],
+        ["--graph", "path", "--n-list", "8,16", "--lambda", "0", "--mode", "expectation"],
+    ],
+    ids=["ns-asp-3-sizes", "exact"],
+)
+def test_slope_prints_the_sweeps_slope_lines(tmp_path, capsys, argv):
+    out = tmp_path / "r.csv"
+    assert cli_main(["simulate", *argv, "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert cli_main(["slope", "--input", str(out)]) == 0
+    slope_lines = [ln + "\n" for ln in err.splitlines() if ln.startswith("slope[")]
+    assert slope_lines
+    assert capsys.readouterr() == ("".join(slope_lines), "")
+
+
+def test_summarize_ends_with_the_slope_lines():
+    recs = synthetic_records(lambda n: 0.9 * n**-0.5)
+    [(key, fit)] = fit_slope(recs).items()
+    assert summarize(recs).splitlines()[-2:] == ["failed trials: 0", harness._slope_line(key, fit)]
+    single = summarize(synthetic_records(lambda n: 0.1, ns=(64,)))
+    assert single.splitlines()[-1] == (
+        "slope: skipped (group ('two_cliques', 'asp', 'ns') has fewer than 2 distinct n values)"
+    )
 
 
 def test_cli_slope_single_n_fails_cleanly(tmp_path, capsys):
