@@ -4,12 +4,13 @@ Graphs are simple and undirected, with vertices labelled 0..n-1.  Families
 cover the topologies used in the scaling experiments (two disjoint cliques,
 clique-plus-path, power-law half graph, regular bipartite) plus the
 usual small benchmark graphs (star, path, cycle, complete, Erdos-Renyi).
+Every family is sorted by construction; make_graph validates outside edge lists.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +77,18 @@ def make_graph(n: int, edges) -> Graph:
     if e.dtype.kind == "f" and not np.all(np.isfinite(e) & (e == np.floor(e))):
         raise ValueError("edge endpoints must be integers")
     with np.errstate(invalid="ignore"):  # a float past int64 casts out of range
-        e = e.astype(np.int64, copy=False)
-    e = sort_pairs(e.reshape(-1, 2), n, validate=True)
+        e = e.astype(np.int64, copy=False).reshape(-1, 2)
+    if len(e) and (e.min() < 0 or e.max() >= n):  # before sort_pairs' key narrows them
+        raise ValueError("edge endpoint out of range")
+    e = sort_pairs(e, n)
+    if np.any(e[:, 0] == e[:, 1]):
+        raise ValueError("self-loops are not allowed")
+    if np.any(np.all(e[1:] == e[:-1], axis=1)):
+        raise ValueError("duplicate edges are not allowed")
     return _frozen_graph(n, e, np.bincount(e.ravel("K"), minlength=n))
 
 
 def _frozen_graph(n: int, edges: np.ndarray, degrees: np.ndarray, family=None) -> Graph:
-    degrees = degrees.astype(np.int64, copy=False)
     edges.setflags(write=False)
     degrees.setflags(write=False)
     return Graph(n=n, edges=edges, degrees=degrees, family=family)
@@ -93,7 +99,7 @@ def _key_dtype(n: int):
     return np.int32 if 2 * max(1, (n - 1).bit_length()) < 31 else np.int64
 
 
-def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
+def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
     """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order.
 
     Each row becomes one integer key, min(u, v) << b | max(u, v), where
@@ -101,58 +107,48 @@ def sort_pairs(pairs: np.ndarray, n: int, validate: bool = False) -> np.ndarray:
     key orders rows lexicographically and one 1-D sort replaces a row sort
     plus a two-key lexsort.  The key is int32 while 2b < 31 (n <= 32768),
     halving the sort's traffic, else int64; rows come back int64,
-    column-major.  With validate, endpoints outside 0..n-1 (checked before the
-    key narrows them), self-loops and duplicate rows (equal neighbours in the
-    sorted key) raise ValueError.
+    column-major.  Nothing is validated: endpoints must lie in 0..n-1, and
+    make_graph checks them for outside edge lists.
     """
     b = max(1, (n - 1).bit_length())
-    if validate and len(pairs) and (pairs.min() < 0 or pairs.max() >= n):
-        raise ValueError("edge endpoint out of range")
     dtype = _key_dtype(n)
     key = np.minimum(pairs[:, 0], pairs[:, 1], dtype=dtype)
     hi = np.maximum(pairs[:, 0], pairs[:, 1], dtype=dtype)
-    if validate and np.any(key == hi):
-        raise ValueError("self-loops are not allowed")
     key <<= b
     key |= hi
     del hi  # one m-long array fewer under the unpacked copy
     key.sort()
-    if validate and np.any(key[1:] == key[:-1]):
-        raise ValueError("duplicate edges are not allowed")
     out = np.empty((len(key), 2), dtype=np.int64, order="F")
     np.right_shift(key, b, out=out[:, 0])
     np.bitwise_and(key, (1 << b) - 1, out=out[:, 1])
     return out
 
 
-def _interval_edges(first, last) -> np.ndarray:
-    """Edges u-v for first[u] <= v < last[u], in lexicographic order.
+def _interval_graph(n: int, owner, first, last, family: str) -> Graph:
+    """Graph of the edges owner[r]-v for first[r] <= v < last[r], checked in O(rows).
 
-    first is an array over the vertices u = 0..len(first)-1, last an array
-    or a scalar, and first[u] <= last[u].
+    A nondecreasing owner >= 0 with owner[r] < first[r] <= last[r] <= n, whose
+    rows of one owner do not overlap (last[r] <= first[r + 1]), makes the edges
+    in range, loop-free and strictly increasing, all that make_graph checks:
+    no key sort, no recount.
     """
+    last = np.broadcast_to(last, owner.shape)
+    ok = (0 <= owner) & (owner < first) & (first <= last) & (last <= n)
+    same = owner[1:] == owner[:-1]
+    if not (np.all(ok) and np.all(np.where(same, last[:-1] <= first[1:], owner[:-1] < owner[1:]))):
+        raise ValueError(f"{family}: vertex intervals need sorted rows owner < first <= last <= n")
     count = last - first
-    start = np.cumsum(count) - count
+    # v's degree: its own rows' lengths, plus the intervals open at v
+    degrees = np.cumsum(np.bincount(first, minlength=n + 1) - np.bincount(last, minlength=n + 1))
+    degrees = degrees[:n]
+    degrees += np.bincount(owner, weights=count, minlength=n).astype(np.int64)
+    # row r's slots end at cumsum(count)[r], where v reaches last[r]
+    shift = last - np.cumsum(count)
     e = np.empty((int(count.sum()), 2), dtype=np.int64, order="F")
-    e[:, 0] = np.repeat(np.arange(len(count)), count)
-    e[:, 1] = np.arange(len(e))
-    e[:, 1] += np.repeat(first - start, count)
-    return e
-
-
-def _interval_graph(n: int, first, last, family: str) -> Graph:
-    """Graph of the edges u-v for first[u] <= v < last[u], checked in O(n).
-
-    u < first[u] <= last[u] <= n makes the rows in range, loop-free and
-    strictly increasing, all that make_graph checks: no key sort, no recount."""
-    u = np.arange(n)
-    last = np.broadcast_to(last, (n,))
-    if not np.all((u < first) & (first <= last) & (last <= n)):
-        raise ValueError(f"{family}: vertex intervals need u < first[u] <= last[u] <= n")
-    # v's in-degree counts the intervals open at v: starts minus ends up to v
-    opened = np.bincount(first, minlength=n + 1) - np.bincount(last, minlength=n + 1)
-    degrees = last - first + np.cumsum(opened[:n])
-    return _frozen_graph(n, _interval_edges(first, last), degrees, family)
+    e[:, 0] = np.repeat(owner, count)
+    e[:, 1] = np.repeat(shift, count)
+    e[:, 1] += np.arange(len(e))
+    return _frozen_graph(n, e, degrees, family)
 
 
 def make_topology(
@@ -189,7 +185,7 @@ def make_topology(
         raise ValueError(f"{family} requires n >= 2, got n={n}")
 
     h = n // 2
-    u = np.arange(n)
+    owner = u = np.arange(n)  # one row per vertex, unless a family adds rows
     if family == "complete":
         first, last = u + 1, n
     elif family == "two_cliques":
@@ -210,29 +206,37 @@ def make_topology(
         first, last = u + 1, np.where(u == 0, n, u + 1)
     elif family == "path":
         first, last = u + 1, np.minimum(u + 2, n)
+    elif family == "cycle":
+        if n < 3:
+            raise ValueError(f"cycle requires n >= 3, got n={n}")
+        # path's rows, plus the closing edge 0-(n-1) as vertex 0's second row
+        owner = np.insert(u, 1, 0)
+        first = np.insert(u + 1, 1, n - 1)
+        last = np.insert(np.minimum(u + 2, n), 1, n)
     elif family == "regular_bipartite":
         if alpha is None or not 0.0 < alpha <= 1.0:
             raise ValueError("regular_bipartite requires alpha in (0, 1]")
         d = max(1, int(math.floor(h**alpha + 1e-9)))
-        left = np.repeat(np.arange(h), d)
-        right = np.tile(np.arange(d), h)
-        right += left
-        right %= h
-        right += h
-        return replace(make_graph(n, np.column_stack((left, right))), family=family)
-    elif family == "cycle":
-        if n < 3:
-            raise ValueError(f"cycle requires n >= 3, got n={n}")
-        return replace(make_graph(n, np.column_stack((u, (u + 1) % n))), family=family)
+        # left u meets h + (u + j) % h for j < d: h + u .. h + min(u + d, h) - 1,
+        # after the wrapped block h .. u + d - 1 when u + d > h
+        u = np.arange(h)
+        wrap = u[h - d + 1 :]
+        owner = np.insert(u, wrap, wrap)
+        first = np.insert(h + u, wrap, h)
+        last = np.insert(h + np.minimum(u + d, h), wrap, wrap + d)
     else:  # erdos_renyi
         if p is None or not 0.0 < p <= 1.0:
             raise ValueError("erdos_renyi requires p in (0, 1]")
         if rng is None:
             raise ValueError("erdos_renyi requires a seeded generator")
+        # triu_indices lists the pairs u < v in lexicographic order: no sort, no check
         iu = np.triu_indices(n, k=1)
         keep = rng.random(len(iu[0])) < p
-        return replace(make_graph(n, np.column_stack((iu[0][keep], iu[1][keep]))), family=family)
-    return _interval_graph(n, first, last, family)
+        e = np.empty((int(np.count_nonzero(keep)), 2), dtype=np.int64, order="F")
+        e[:, 0] = iu[0][keep]
+        e[:, 1] = iu[1][keep]
+        return _frozen_graph(n, e, np.bincount(e.ravel("K"), minlength=n), family)
+    return _interval_graph(n, owner, first, last, family)
 
 
 def degree_functional(g: Graph) -> float:

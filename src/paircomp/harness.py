@@ -301,7 +301,8 @@ def records_to_csv(records, include_runtime: bool = False) -> str:
 
 def records_from_csv(text: str) -> list[TrialRecord]:
     """Parse records_to_csv output; rows without metrics come back failed, and a
-    row the fit cannot use (n < 1, frob_err not finite and >= 0) names its line."""
+    row that does not parse or that the fit cannot use (n < 1, frob_err not
+    finite and >= 0) names its line."""
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError("missing or unexpected CSV header")
@@ -309,10 +310,15 @@ def records_from_csv(text: str) -> list[TrialRecord]:
     for lineno, ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(_CSV_COLUMNS):
-            raise ValueError(f"expected {len(_CSV_COLUMNS)} fields, got {len(cells)}: {ln!r}")
-        values = {
-            field: parse(cell) for (field, parse), cell in zip(_CSV_COLUMNS.values(), cells)
-        }
+            raise ValueError(
+                f"line {lineno}: expected {len(_CSV_COLUMNS)} fields, got {len(cells)}: {ln!r}"
+            )
+        values = {}
+        for (column, (field, parse)), cell in zip(_CSV_COLUMNS.items(), cells):
+            try:
+                values[field] = parse(cell)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {column}: {exc}") from None
         n, frob_err = values["n"], values["frob_err"]
         if n < 1:
             raise ValueError(f"line {lineno}: n must be >= 1, got {n}")

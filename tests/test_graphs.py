@@ -1,9 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
-from paircomp import degree_functional, make_graph, make_topology
+from paircomp import GRAPH_FAMILIES, degree_functional, make_graph, make_topology
 from paircomp.graphs import _interval_graph, sort_pairs
 
 from oracles import InfeasibleDegreeSequenceError, adjacency_matrix, havel_hakimi
@@ -258,9 +259,8 @@ def test_sort_pairs_matches_lexsort(dtype):
         assert np.array_equal(out, lexsort_reference(pairs)), n
 
 
-@pytest.mark.parametrize("validate", [False, True])
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_sort_pairs_matches_lexsort_at_the_key_width_boundary(dtype, validate):
+def test_sort_pairs_matches_lexsort_at_the_key_width_boundary(dtype):
     # n = 2**15 is the last size with an int32 key (b = 15); from 2**15 + 1 on,
     # b = 16 and the key is int64: at n = 2**16 an int32 key would overflow
     rng = np.random.default_rng(9)
@@ -268,17 +268,17 @@ def test_sort_pairs_matches_lexsort_at_the_key_width_boundary(dtype, validate):
         top = n - 1
         near_top = rng.integers(n - 300, n, size=(400, 2))
         rows = np.sort(np.vstack([[(top, top - 1), (0, top), (top - 2, 5), (top, 1)], near_top]))
-        rows = np.unique(rows[rows[:, 0] < rows[:, 1]], axis=0)  # valid input for validate
+        rows = np.unique(rows[rows[:, 0] < rows[:, 1]], axis=0)  # valid input for make_graph
         pairs = rows[rng.permutation(len(rows))]
         flip = rng.random(len(pairs)) < 0.5
         pairs[flip] = pairs[flip][:, ::-1]
         pairs = pairs.astype(dtype)
-        out = sort_pairs(pairs, n, validate=validate)
+        out = sort_pairs(pairs, n)
         assert out.dtype == np.int64 and out.shape == pairs.shape
         assert np.array_equal(out, lexsort_reference(pairs)), n
-        if validate:
-            with pytest.raises(ValueError, match="out of range"):
-                sort_pairs(np.array([(0, n)], dtype=dtype), n, validate=True)
+        assert np.array_equal(make_graph(n, pairs).edges, out), n
+        with pytest.raises(ValueError, match="out of range"):
+            make_graph(n, np.array([(0, n)], dtype=dtype))
 
 
 def test_make_graph_range_check_sees_64_bit_endpoints():
@@ -305,7 +305,10 @@ def test_make_graph_accepts_only_pairs():
         assert g.degrees.tolist() == [0, 0, 0, 0]
 
 
-# u ~ v in each family built from vertex intervals
+BIPARTITE_ALPHAS = (0.1, 0.3, 0.5, 0.7, 1.0)
+
+# u ~ v in each family built from vertex intervals; regular_bipartite's left
+# u meets the d right vertices h + (u + j) % h, j < d
 INTERVAL_FAMILIES = {
     "complete": lambda u, v, n: True,
     "two_cliques": lambda u, v, n: (u < n // 2) == (v < n // 2),
@@ -314,53 +317,79 @@ INTERVAL_FAMILIES = {
     "power_law": lambda u, v, n: u + v >= n - 1,
     "star": lambda u, v, n: min(u, v) == 0,
     "path": lambda u, v, n: abs(u - v) == 1,
+    "cycle": lambda u, v, n: abs(u - v) == 1 or {u, v} == {0, n - 1},
+    "regular_bipartite": lambda u, v, n, alpha: u < n // 2 <= v
+    and (v - n // 2 - u) % (n // 2) < max(1, math.floor((n // 2) ** alpha + 1e-9)),
 }
+
+
+def family_kwargs(family):
+    """The make_topology keyword sets a family's tests build it with."""
+    if family == "regular_bipartite":
+        return [{"alpha": a} for a in BIPARTITE_ALPHAS]
+    if family == "erdos_renyi":
+        return [{"p": p, "rng": np.random.default_rng(s)} for p in (0.05, 0.5, 1.0) for s in (0, 1)]
+    return [{}]
 
 
 @pytest.mark.parametrize("family", sorted(INTERVAL_FAMILIES))
 def test_interval_families_match_adjacency_rule(family):
     rule = INTERVAL_FAMILIES[family]
-    even = family in ("two_cliques", "clique_plus_path")
-    for n in range(0, 41):
-        if n < 2 or (even and (n < 4 or n % 2)):
-            msg = f"{family} requires an even n >= 4" if even else f"{family} requires n >= 2"
-            with pytest.raises(ValueError, match=msg):
-                make_topology(family, n)
-            continue
-        ref = [(u, v) for u in range(n) for v in range(u + 1, n) if rule(u, v, n)]
-        deg = np.zeros(n, dtype=np.int64)
-        for u, v in ref:
-            deg[u] += 1
-            deg[v] += 1
-        g = make_topology(family, n)
-        assert g.edges.dtype == np.int64 and g.edges.flags.f_contiguous
-        assert g.edges.tolist() == [list(e) for e in ref], n
-        assert np.array_equal(g.degrees, deg), n
+    even = family in ("two_cliques", "clique_plus_path", "regular_bipartite")
+    for kwargs in family_kwargs(family):
+        for n in range(0, 41):
+            if n < 2 or (even and (n < 4 or n % 2)) or (family == "cycle" and n < 3):
+                msg = "an even n >= 4" if even else "n >= 3" if n == 2 else "n >= 2"
+                with pytest.raises(ValueError, match=f"{family} requires {msg}"):
+                    make_topology(family, n, **kwargs)
+                continue
+            ref = [(u, v) for u in range(n) for v in range(u + 1, n) if rule(u, v, n, **kwargs)]
+            deg = np.zeros(n, dtype=np.int64)
+            for u, v in ref:
+                deg[u] += 1
+                deg[v] += 1
+            g = make_topology(family, n, **kwargs)
+            assert g.edges.dtype == np.int64 and g.edges.flags.f_contiguous
+            assert g.edges.tolist() == [list(e) for e in ref], (n, kwargs)
+            assert np.array_equal(g.degrees, deg), (n, kwargs)
 
 
-@pytest.mark.parametrize("family", sorted(INTERVAL_FAMILIES))
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
 def test_interval_families_equal_their_validated_build(family):
-    even = family in ("two_cliques", "clique_plus_path")
-    for n in (1023, 1024, 2048):
-        if even and n % 2:
-            continue
-        g = make_topology(family, n)
-        ref = make_graph(n, g.edges)
-        assert g.edges.dtype == ref.edges.dtype == np.int64
-        assert g.degrees.dtype == ref.degrees.dtype == np.int64
-        assert not g.edges.flags.writeable and not g.degrees.flags.writeable
-        assert np.array_equal(g.edges, ref.edges), n
-        assert np.array_equal(g.degrees, ref.degrees), n
+    # every family is sorted by construction; make_graph re-sorts and checks it
+    even = family in ("two_cliques", "clique_plus_path", "regular_bipartite")
+    for kwargs in family_kwargs(family):
+        for n in (1023, 1024, 2048):
+            if even and n % 2:
+                continue
+            g = make_topology(family, n, **kwargs)
+            ref = make_graph(n, g.edges)
+            assert g.family == family
+            assert g.edges.dtype == ref.edges.dtype == np.int64
+            assert g.degrees.dtype == ref.degrees.dtype == np.int64
+            assert g.edges.flags.f_contiguous and ref.edges.flags.f_contiguous
+            assert not g.edges.flags.writeable and not g.degrees.flags.writeable
+            assert np.array_equal(g.edges, ref.edges), (n, kwargs)
+            assert np.array_equal(g.degrees, ref.degrees), (n, kwargs)
 
 
 def test_interval_graph_rejects_bad_intervals():
     u = np.arange(4)
-    assert _interval_graph(4, u + 1, 4, "complete").num_edges == 6
-    for first, last in (
-        (u, 4),  # first[u] == u: a self-loop
-        (np.array([1, 3, 3, 4]), np.array([4, 2, 4, 4])),  # first[1] > last[1]
-        (u + 1, np.array([4, 5, 4, 4])),  # last[1] past n
-        (np.array([2, 1, 3, 4]), 4),  # first[1] == u
+    assert _interval_graph(4, u, u + 1, 4, "complete").num_edges == 6
+    # a vertex may own several rows: the 4-cycle's closing edge is 0's second row
+    cycle = _interval_graph(4, np.array([0, 0, 1, 2, 3]), [1, 3, 2, 3, 4], [2, 4, 3, 4, 4], "c4")
+    assert cycle.edges.tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert cycle.degrees.tolist() == [2, 2, 2, 2]
+    for owner, first, last in (
+        (u, u, 4),  # first[u] == u: a self-loop
+        (u, np.array([1, 3, 3, 4]), np.array([4, 2, 4, 4])),  # first[1] > last[1]
+        (u, u + 1, np.array([4, 5, 4, 4])),  # last[1] past n
+        (u, np.array([2, 1, 3, 4]), 4),  # first[1] == u
+        (np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([3, 4, 4])),  # 0's rows overlap at 2
+        (np.array([0, 0, 1]), np.array([2, 1, 2]), np.array([3, 2, 4])),  # 0's rows out of order
+        (np.array([1, 0, 2]), np.array([2, 1, 3]), np.array([3, 2, 4])),  # owner decreases
+        (np.array([0, 2, 2]), np.array([1, 2, 3]), np.array([2, 3, 4])),  # owner[1] == first[1]
+        (np.array([-1, 0]), np.array([0, 1]), np.array([1, 2])),  # owner below 0
     ):
         with pytest.raises(ValueError, match="vertex intervals need"):
-            _interval_graph(4, first, last, "bad")
+            _interval_graph(4, owner, first, last, "bad")

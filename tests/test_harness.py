@@ -393,8 +393,22 @@ def test_csv_round_trip():
         ("path,8,0,1,asp,ns,-0.5,,,,", "line 2: frob_err must be finite and >= 0, got -0.5"),
         ("path,0,0,1,asp,ns,0.5,,,,", "line 2: n must be >= 1, got 0"),
         ("\npath,0,0,1,asp,ns,,,,,", "line 3: n must be >= 1, got 0"),
+        ("path,16.5,0,1,asp,ns,0.05,,,,", "line 2: n: invalid literal for int() with base 10: '16.5'"),
+        ("path,8,0,1,asp,ns,abc,,,,", "line 2: frob_err: could not convert string to float: 'abc'"),
+        ("\npath,8,0,1,asp,ns,0.5,x,,,", "line 3: kt: invalid literal for int() with base 10: 'x'"),
+        ("path,8,0,1,asp,ns,0.5", "line 2: expected 11 fields, got 7: 'path,8,0,1,asp,ns,0.5'"),
     ],
-    ids=["frob-nan", "frob-inf", "frob-negative", "n-zero", "n-zero-failed-after-blank"],
+    ids=[
+        "frob-nan",
+        "frob-inf",
+        "frob-negative",
+        "n-zero",
+        "n-zero-failed-after-blank",
+        "n-not-int",
+        "frob-not-float",
+        "kt-not-int-after-blank",
+        "too-few-fields",
+    ],
 )
 def test_csv_rejects_rows_the_fit_cannot_use(tmp_path, capsys, row, reason):
     # each row follows one good row, so the fit would otherwise see two sizes

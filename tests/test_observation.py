@@ -278,6 +278,21 @@ def test_ns_asp_steps_allocate_few_edge_sized_arrays(mode):
     assert peak < 1.2 * unit
 
 
+@pytest.mark.parametrize(
+    "family,n,kwargs,bound",
+    [
+        ("regular_bipartite", 20000, {"alpha": 0.5}, 3.3),  # d = 100, m = 10**6
+        ("erdos_renyi", 2048, {"p": 0.5}, 8.5),  # the n(n-1)/2 candidate pairs dominate
+    ],
+    ids=["regular_bipartite", "erdos_renyi"],
+)
+def test_sorted_by_construction_families_allocate_few_edge_sized_arrays(family, n, kwargs, bound):
+    # peaks in units of one int64 per edge, as above: no key sort, no validating copy
+    rng = np.random.default_rng(8)
+    g, peak = traced_peak(lambda: make_topology(family, n, rng=rng, **kwargs))
+    assert peak < bound * 8 * g.num_edges
+
+
 def test_score_concentration_improves_with_n():
     lam = 0.25
     means = []
