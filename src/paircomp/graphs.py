@@ -40,16 +40,22 @@ _EVEN_N_FAMILIES = ("two_cliques", "clique_plus_path", "regular_bipartite")
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph.
+    """Simple undirected graph, held as neighbour intervals.
+
+    Vertex u's edges to higher vertices are slots indptr[u]:indptr[u + 1] of
+    the sorted edge list.  Their partners are stored as rows r, each a
+    nonempty run first[r] <= v < last[r], listed in vertex order.  So a
+    family built from intervals costs O(n) bytes, and an outside edge list
+    at most 16 bytes per edge (each run of consecutive partners is one row).
 
     Attributes
     ----------
     n : int
         Vertex count.
-    edges : ndarray of shape (m, 2)
-        Unordered edges stored as rows (u, v) with u < v, lexicographically
-        sorted.  Column-major int64, so each endpoint column is contiguous.
-        Read-only.
+    indptr : ndarray of shape (n + 1,)
+        Per-vertex offsets into the sorted edge list.  Read-only.
+    first, last : ndarray of shape (rows,)
+        Each row's partner interval.  Read-only.
     degrees : ndarray of shape (n,)
         Per-vertex edge counts.  Read-only.
     family : str or None
@@ -58,13 +64,33 @@ class Graph:
     """
 
     n: int
-    edges: np.ndarray
+    indptr: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
     degrees: np.ndarray
     family: str | None = field(default=None, compare=False)
 
     @property
     def num_edges(self) -> int:
-        return int(self.edges.shape[0])
+        return int(self.indptr[-1])
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Edges (u, v) with u < v as rows of an (m, 2) array, lexicographically
+        sorted: column-major int64, read-only, expanded afresh on each access."""
+        e = np.vstack(self._expand(np.arange(self.n))).T
+        e.setflags(write=False)
+        return e
+
+    def _expand(self, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Columns label[u] and label[v] over the sorted edges u-v: fresh arrays."""
+        count = self.last - self.first
+        # v steps by 1 along a row; a row's head jumps there from the row before's last v
+        v = np.ones(self.num_edges, dtype=np.int64)
+        v[np.cumsum(count) - count] = self.first - np.append(0, self.last[:-1] - 1)
+        np.cumsum(v, out=v)
+        v = label[v]  # before the owners' column, which then reuses the memory freed here
+        return np.repeat(label, np.diff(self.indptr)), v
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -85,18 +111,34 @@ def make_graph(n: int, edges) -> Graph:
         raise ValueError("self-loops are not allowed")
     if np.any(np.all(e[1:] == e[:-1], axis=1)):
         raise ValueError("duplicate edges are not allowed")
-    return _frozen_graph(n, e, np.bincount(e.ravel("K"), minlength=n))
-
-
-def _frozen_graph(n: int, edges: np.ndarray, degrees: np.ndarray, family=None) -> Graph:
-    edges.setflags(write=False)
-    degrees.setflags(write=False)
-    return Graph(n=n, edges=edges, degrees=degrees, family=family)
+    return _edge_graph(n, e[:, 0], e[:, 1])
 
 
 def _key_dtype(n: int):
     """Narrowest integer type holding sort_pairs' key over 0..n-1: 2b bits."""
     return np.int32 if 2 * max(1, (n - 1).bit_length()) < 31 else np.int64
+
+
+def _pair_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Key min(a, b) << bits | max(a, b) per pair of endpoints in 0..n-1, unsorted.
+
+    b must be a fresh array in _key_dtype(n): it is overwritten with max(a, b).
+    """
+    key = np.minimum(a, b, dtype=b.dtype)
+    np.maximum(a, b, out=b)
+    key <<= max(1, (n - 1).bit_length())
+    key |= b
+    return key
+
+
+def _sorted_rows(key: np.ndarray, n: int) -> np.ndarray:
+    """Sort _pair_key's keys in place and unpack them into column-major int64 rows."""
+    bits = max(1, (n - 1).bit_length())
+    key.sort()
+    out = np.empty((len(key), 2), dtype=np.int64, order="F")
+    np.right_shift(key, bits, out=out[:, 0])
+    np.bitwise_and(key, (1 << bits) - 1, out=out[:, 1])
+    return out
 
 
 def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
@@ -110,21 +152,21 @@ def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
     column-major.  Nothing is validated: endpoints must lie in 0..n-1, and
     make_graph checks them for outside edge lists.
     """
-    b = max(1, (n - 1).bit_length())
-    dtype = _key_dtype(n)
-    key = np.minimum(pairs[:, 0], pairs[:, 1], dtype=dtype)
-    hi = np.maximum(pairs[:, 0], pairs[:, 1], dtype=dtype)
-    key <<= b
-    key |= hi
-    del hi  # one m-long array fewer under the unpacked copy
-    key.sort()
-    out = np.empty((len(key), 2), dtype=np.int64, order="F")
-    np.right_shift(key, b, out=out[:, 0])
-    np.bitwise_and(key, (1 << b) - 1, out=out[:, 1])
-    return out
+    return _sorted_rows(_pair_key(pairs[:, 0], pairs[:, 1].astype(_key_dtype(n)), n), n)
 
 
-def _interval_graph(n: int, owner, first, last, family: str) -> Graph:
+def _edge_graph(n: int, u: np.ndarray, v: np.ndarray, family: str | None = None) -> Graph:
+    """Graph of the valid, sorted edges u[k]-v[k]; a run of consecutive
+    partners of one vertex becomes one row."""
+    head = np.ones(len(u), dtype=bool)
+    np.not_equal(v[1:], v[:-1] + 1, out=head[1:])
+    head[1:] |= u[1:] != u[:-1]
+    start = np.flatnonzero(head)
+    first = v[start]
+    return _interval_graph(n, u[start], first, first + np.diff(start, append=len(u)), family)
+
+
+def _interval_graph(n: int, owner, first, last, family: str | None) -> Graph:
     """Graph of the edges owner[r]-v for first[r] <= v < last[r], checked in O(rows).
 
     A nondecreasing owner >= 0 with owner[r] < first[r] <= last[r] <= n, whose
@@ -132,23 +174,24 @@ def _interval_graph(n: int, owner, first, last, family: str) -> Graph:
     in range, loop-free and strictly increasing, all that make_graph checks:
     no key sort, no recount.
     """
-    last = np.broadcast_to(last, owner.shape)
+    first = np.asarray(first, dtype=np.int64)
+    last = np.broadcast_to(last, first.shape)
     ok = (0 <= owner) & (owner < first) & (first <= last) & (last <= n)
     same = owner[1:] == owner[:-1]
     if not (np.all(ok) and np.all(np.where(same, last[:-1] <= first[1:], owner[:-1] < owner[1:]))):
         raise ValueError(f"{family}: vertex intervals need sorted rows owner < first <= last <= n")
-    count = last - first
-    # v's degree: its own rows' lengths, plus the intervals open at v
+    # u's edges to higher vertices: its own rows' lengths
+    ahead = np.bincount(owner, weights=last - first, minlength=n).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(ahead, out=indptr[1:])
+    # v's degree: those, plus the intervals open at v
     degrees = np.cumsum(np.bincount(first, minlength=n + 1) - np.bincount(last, minlength=n + 1))
-    degrees = degrees[:n]
-    degrees += np.bincount(owner, weights=count, minlength=n).astype(np.int64)
-    # row r's slots end at cumsum(count)[r], where v reaches last[r]
-    shift = last - np.cumsum(count)
-    e = np.empty((int(count.sum()), 2), dtype=np.int64, order="F")
-    e[:, 0] = np.repeat(owner, count)
-    e[:, 1] = np.repeat(shift, count)
-    e[:, 1] += np.arange(len(e))
-    return _frozen_graph(n, e, degrees, family)
+    degrees = degrees[:n] + ahead
+    run = first < last  # an empty row holds no edge
+    first, last = first[run], last[run]
+    for a in (indptr, first, last, degrees):
+        a.setflags(write=False)
+    return Graph(n, indptr, first, last, degrees, family)
 
 
 def make_topology(
@@ -229,13 +272,12 @@ def make_topology(
             raise ValueError("erdos_renyi requires p in (0, 1]")
         if rng is None:
             raise ValueError("erdos_renyi requires a seeded generator")
-        # triu_indices lists the pairs u < v in lexicographic order: no sort, no check
-        iu = np.triu_indices(n, k=1)
-        keep = rng.random(len(iu[0])) < p
-        e = np.empty((int(np.count_nonzero(keep)), 2), dtype=np.int64, order="F")
-        e[:, 0] = iu[0][keep]
-        e[:, 1] = iu[1][keep]
-        return _frozen_graph(n, e, np.bincount(e.ravel("K"), minlength=n), family)
+        # row u of the upper triangle lists the pairs u-(u+1..n-1) from position u(2n - u - 1)/2
+        v = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)  # the kept positions
+        row = u * (2 * n - u - 1) // 2
+        src = np.searchsorted(row, v, side="right") - 1
+        v -= row[src] - src - 1  # each position becomes its pair's partner, in place
+        return _edge_graph(n, src, v, family)
     return _interval_graph(n, owner, first, last, family)
 
 

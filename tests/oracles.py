@@ -12,7 +12,7 @@ certify the answer before comparing against it.
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
 
-from paircomp import Graph, check_permutation, make_graph
+from paircomp import Graph, ObservationSample, check_permutation, make_graph, sort_pairs
 
 
 def reverse_permutation(n: int) -> np.ndarray:
@@ -63,9 +63,24 @@ def scores(m: np.ndarray) -> np.ndarray:
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense boolean adjacency matrix (built on demand)."""
     a = np.zeros((g.n, g.n), dtype=bool)
-    a[g.edges[:, 0], g.edges[:, 1]] = True
-    a[g.edges[:, 1], g.edges[:, 0]] = True
+    u, v = g.edges.T
+    a[u, v] = True
+    a[v, u] = True
     return a
+
+
+def observe_by_edge_list(m, g: Graph, sigma, rng) -> ObservationSample:
+    """observe's sample drawn over a materialised edge array: each edge
+    relabelled through the inverse assignment, then sort_pairs, as it was
+    while a Graph kept its edges.  No input is checked."""
+    sigma = check_permutation(sigma)
+    inv = np.empty(g.n, dtype=np.int64)
+    inv[sigma] = np.arange(g.n)
+    pairs = sort_pairs(inv[g.edges], g.n)
+    values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
+    if rng is not None:
+        np.less(rng.random(len(values)), values, out=values)
+    return ObservationSample(g.n, pairs, values, counts=g.degrees[sigma])
 
 
 class InfeasibleDegreeSequenceError(ValueError):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,30 @@ def test_edges_are_immutable():
         g.edges[0, 0] = 3
 
 
+def test_edges_expand_afresh_from_the_rows():
+    # the arrays a Graph kept as its edges field, before it held intervals
+    g = make_topology("regular_bipartite", 8, alpha=0.5)
+    assert g.edges.tolist() == [[0, 4], [0, 5], [1, 5], [1, 6], [2, 6], [2, 7], [3, 4], [3, 7]]
+    g = make_graph(6, [(5, 0), (2, 1), (3, 1), (1, 4), (4, 5)])
+    assert g.edges.tolist() == [[0, 5], [1, 2], [1, 3], [1, 4], [4, 5]]
+    assert (g.first.tolist(), g.last.tolist()) == ([5, 2, 5], [6, 5, 6])  # 1's partners: one run
+    for family, n, kwargs in ALL_FAMILIES:
+        g = make_topology(family, n, **kwargs)
+        e = g.edges
+        assert e.dtype == np.int64 and e.flags.f_contiguous and not e.flags.writeable
+        again = g.edges
+        assert again is not e and not np.shares_memory(again, e)
+        assert np.array_equal(again, e)
+        # vertex u's slots indptr[u]:indptr[u + 1] hold its rows' runs, in order
+        runs = iter(zip(g.first.tolist(), g.last.tolist()))
+        rows = []
+        for u in range(n):
+            while len(rows) < g.indptr[u + 1]:
+                first, last = next(runs)
+                rows += [[u, v] for v in range(first, last)]
+        assert rows == e.tolist() and g.num_edges == len(rows), family
+
+
 @pytest.mark.parametrize("family,n,kwargs", ALL_FAMILIES)
 def test_edges_are_column_major_int64(family, n, kwargs):
     # each endpoint column is one contiguous array, whatever layout came in
@@ -371,6 +396,39 @@ def test_interval_families_equal_their_validated_build(family):
             assert not g.edges.flags.writeable and not g.degrees.flags.writeable
             assert np.array_equal(g.edges, ref.edges), (n, kwargs)
             assert np.array_equal(g.degrees, ref.degrees), (n, kwargs)
+
+
+def held_bytes(build):
+    """What build() returns, and the bytes it still holds once it has returned."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
+@pytest.mark.parametrize("family", GRAPH_FAMILIES)
+def test_graphs_hold_at_most_16_bytes_per_edge(family):
+    # an interval family holds O(n) bytes whatever its edge count; Erdos-Renyi
+    # and outside edge lists at most one first/last pair of int64 per edge
+    n = 2048
+    if family == "erdos_renyi":
+        cases, per_edge = [{"p": p, "rng": np.random.default_rng(5)} for p in (0.05, 0.5)], 16
+    else:
+        cases, per_edge = family_kwargs(family)[:1], 0
+    for kwargs in cases:
+        g, held = held_bytes(lambda: make_topology(family, n, **kwargs))
+        assert held < per_edge * g.num_edges + 40 * n, kwargs
+        # the same edges from outside, shuffled and flipped: one row per run of partners
+        rng = np.random.default_rng(6)
+        e = np.array(g.edges[rng.permutation(g.num_edges)])
+        flip = rng.random(len(e)) < 0.5
+        e[flip] = e[flip][:, ::-1]
+        h, held = held_bytes(lambda: make_graph(n, e))
+        assert held < 16 * h.num_edges + 40 * n, kwargs
+        assert np.array_equal(h.edges, g.edges) and np.array_equal(h.degrees, g.degrees)
 
 
 def test_interval_graph_rejects_bad_intervals():

@@ -203,6 +203,22 @@ def test_ns_asp_trial_allocates_no_dense_matrix():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_ns_asp_graph_and_trial_allocate_few_edge_sized_arrays(mode):
+    # graph and trial in one traced region, in units of one int64 per edge:
+    # the graph's intervals are O(n), so the peak is the sample plus ASP's work
+    n = 2048
+    spec = small_spec(graph_family="two_cliques", n_values=(n,), trials=1, mode=mode)
+    tracemalloc.start()
+    try:
+        rec = run_trial(spec, 0, harness.build_graph(spec, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.error is None
+    assert peak <= 4.2 * 8 * (n // 2) * (n // 2 - 1)  # two_cliques: m = 2 C(n/2, 2)
+
+
 def test_run_trial_records_nonconverged_projection(monkeypatch):
     monkeypatch.setattr(estimators, "project_biso", functools.partial(project_biso, max_iter=1))
     spec = small_spec(graph_family="power_law", model="sst", estimator="bap", n_values=(64,))

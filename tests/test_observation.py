@@ -11,6 +11,7 @@ from paircomp import (
     assign_random,
     empirical_scores,
     identity_permutation,
+    make_graph,
     make_noisy_sorting,
     make_topology,
     GRAPH_FAMILIES,
@@ -19,7 +20,7 @@ from paircomp import (
     sample_sst_bands,
 )
 
-from oracles import adjacency_matrix, scores
+from oracles import adjacency_matrix, observe_by_edge_list, scores
 
 
 def draws(mode, rng):
@@ -251,6 +252,49 @@ def test_observe_counts_name_the_same_unobserved_item():
         empirical_scores(s)
 
 
+def relabelling_cases():
+    """Graphs observe must relabel exactly as the edge-list path did."""
+    for family in GRAPH_FAMILIES:
+        if family == "regular_bipartite":
+            kwargs = [{"alpha": a} for a in (0.05, 0.3, 0.5, 1.0)]
+        elif family == "erdos_renyi":
+            kwargs = [{"p": 0.3, "rng": np.random.default_rng(4)}]
+        else:
+            kwargs = [{}]
+        for kw in kwargs:
+            yield make_topology(family, 64, **kw)
+    rng = np.random.default_rng(12)
+    iu = np.column_stack(np.triu_indices(40, k=1))
+    e = iu[rng.random(len(iu)) < 0.4]
+    flip = rng.random(len(e)) < 0.5
+    e[flip] = e[flip][:, ::-1]
+    yield make_graph(40, e[rng.permutation(len(e))])
+    yield make_graph(6, [])  # edgeless
+    yield make_graph(1, [])
+    yield make_graph(2, [(1, 0)])
+    # the key is int32 up to n = 2**15 and int64 beyond
+    for n in (2**15 - 2, 2**15 + 2):
+        for family, kw in (("path", {}), ("cycle", {}), ("star", {}), ("regular_bipartite", {"alpha": 0.3})):
+            yield make_topology(family, n, **kw)
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_observe_relabels_the_rows_as_the_edge_list_did(mode):
+    for k, g in enumerate(relabelling_cases()):
+        rng = np.random.default_rng(k)
+        sigma = assign_random(g, rng)
+        models = [NoisySorting(rng.permutation(g.n), 0.3)]
+        if 2 <= g.n <= 64:
+            models.append(sample_sst_bands(g.n, rng))
+        for m in models:
+            got = observe(m, g, sigma, draws(mode, np.random.default_rng(k)))
+            ref = observe_by_edge_list(m, g, sigma, draws(mode, np.random.default_rng(k)))
+            assert got.pairs.flags.f_contiguous and ref.pairs.flags.f_contiguous
+            for a, b in ((got.pairs, ref.pairs), (got.values, ref.values), (got.counts, ref.counts)):
+                assert a.dtype == b.dtype and a.shape == b.shape, (g.family, g.n)
+                assert a.tobytes("A") == b.tobytes("A"), (g.family, g.n)
+
+
 def traced_peak(f, *args):
     tracemalloc.start()
     try:
@@ -267,7 +311,7 @@ def test_ns_asp_steps_allocate_few_edge_sized_arrays(mode):
     n = 2048
     g, peak = traced_peak(make_topology, "two_cliques", n)
     unit = 8 * g.num_edges
-    assert peak < 3.05 * unit
+    assert peak < 128 * n  # O(n): the graph keeps its intervals, not its edges
     rng = np.random.default_rng(8)
     model = NoisySorting(identity_permutation(n), 0.2)
     s, peak = traced_peak(observe, model, g, assign_random(g, rng), draws(mode, rng))
