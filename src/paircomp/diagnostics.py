@@ -156,7 +156,7 @@ def _closed_form_witnesses(g: Graph):
     return (len(ind), ind), (len(v1) * len(v2), (v1, v2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdversarialPair:
     """Two noisy-sorting models indistinguishable on the graph edges.
 

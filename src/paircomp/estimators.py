@@ -117,7 +117,7 @@ def _pav_chains(y: np.ndarray, w: np.ndarray, new: list) -> np.ndarray:
     return np.repeat(x[: b + 1], np.diff(r[: b + 2]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BisoProjection:
     """Projection output plus convergence metadata."""
 
@@ -213,7 +213,7 @@ def project_biso(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPartition:
     """Ordered partition of items 0..n-1 by value intervals.
 

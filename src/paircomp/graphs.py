@@ -10,15 +10,16 @@ Every family is sorted by construction; make_graph validates outside edge lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .models import _invert
 
 __all__ = [
     "Graph",
     "make_graph",
     "make_topology",
-    "sort_pairs",
     "degree_functional",
     "GRAPH_FAMILIES",
 ]
@@ -38,7 +39,7 @@ GRAPH_FAMILIES = (
 _EVEN_N_FAMILIES = ("two_cliques", "clique_plus_path", "regular_bipartite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph, held as neighbour intervals.
 
@@ -68,7 +69,7 @@ class Graph:
     first: np.ndarray
     last: np.ndarray
     degrees: np.ndarray
-    family: str | None = field(default=None, compare=False)
+    family: str | None = None
 
     @property
     def num_edges(self) -> int:
@@ -92,6 +93,16 @@ class Graph:
         v = label[v]  # before the owners' column, which then reuses the memory freed here
         return np.repeat(label, np.diff(self.indptr)), v
 
+    def _pairs(self, sigma: np.ndarray) -> np.ndarray:
+        """Item pairs (i, j), i < j, whose vertices sigma[i], sigma[j] share an edge, for
+        a checked permutation sigma: lexicographically sorted, column-major int64."""
+        # the rows expand into item pairs inv[u], inv[v], dropped once packed into keys
+        key = _pair_key(*self._expand(_invert(sigma, _key_dtype(self.n))), self.n)
+        key.sort()
+        pairs = np.empty((len(key), 2), dtype=np.int64, order="F")
+        _unpack(key, self.n, pairs[:, 0], pairs[:, 1])
+        return pairs
+
 
 def make_graph(n: int, edges) -> Graph:
     """Validate an edge list and build an immutable, untagged :class:`Graph`."""
@@ -104,66 +115,52 @@ def make_graph(n: int, edges) -> Graph:
         raise ValueError("edge endpoints must be integers")
     with np.errstate(invalid="ignore"):  # a float past int64 casts out of range
         e = e.astype(np.int64, copy=False).reshape(-1, 2)
-    if len(e) and (e.min() < 0 or e.max() >= n):  # before sort_pairs' key narrows them
+    if len(e) and (e.min() < 0 or e.max() >= n):  # before the key narrows them
         raise ValueError("edge endpoint out of range")
-    e = sort_pairs(e, n)
-    if np.any(e[:, 0] == e[:, 1]):
+    key = _pair_key(e[:, 0], e[:, 1].astype(_key_dtype(n)), n)
+    key.sort()
+    if np.any(np.equal(*_unpack(key, n))):
         raise ValueError("self-loops are not allowed")
-    if np.any(np.all(e[1:] == e[:-1], axis=1)):
+    if np.any(key[1:] == key[:-1]):
         raise ValueError("duplicate edges are not allowed")
-    return _edge_graph(n, e[:, 0], e[:, 1])
+    return _key_graph(n, key)
+
+
+def _key_bits(n: int) -> int:
+    """Bits b per endpoint of the edge key min << b | max, one integer per pair
+    over 0..n-1: a 1-D sort of the keys orders the pairs lexicographically."""
+    return max(1, (n - 1).bit_length())
 
 
 def _key_dtype(n: int):
-    """Narrowest integer type holding sort_pairs' key over 0..n-1: 2b bits."""
-    return np.int32 if 2 * max(1, (n - 1).bit_length()) < 31 else np.int64
+    """int32 while the key's 2b bits fit (n <= 32768), halving a sort's traffic, else int64."""
+    return np.int32 if 2 * _key_bits(n) < 31 else np.int64
 
 
 def _pair_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Key min(a, b) << bits | max(a, b) per pair of endpoints in 0..n-1, unsorted.
-
-    b must be a fresh array in _key_dtype(n): it is overwritten with max(a, b).
-    """
+    """Unsorted keys of the pairs a[k], b[k]; b, a fresh array in _key_dtype(n), is overwritten."""
     key = np.minimum(a, b, dtype=b.dtype)
     np.maximum(a, b, out=b)
-    key <<= max(1, (n - 1).bit_length())
+    key <<= _key_bits(n)
     key |= b
     return key
 
 
-def _sorted_rows(key: np.ndarray, n: int) -> np.ndarray:
-    """Sort _pair_key's keys in place and unpack them into column-major int64 rows."""
-    bits = max(1, (n - 1).bit_length())
-    key.sort()
-    out = np.empty((len(key), 2), dtype=np.int64, order="F")
-    np.right_shift(key, bits, out=out[:, 0])
-    np.bitwise_and(key, (1 << bits) - 1, out=out[:, 1])
-    return out
+def _unpack(key: np.ndarray, n: int, lo=None, hi=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's endpoints min and max, written into lo and hi when given."""
+    bits = _key_bits(n)
+    return np.right_shift(key, bits, out=lo), np.bitwise_and(key, (1 << bits) - 1, out=hi)
 
 
-def sort_pairs(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Rows (min, max) of an (m, 2) int array over 0..n-1, in lexicographic order.
-
-    Each row becomes one integer key, min(u, v) << b | max(u, v), where
-    b = max(1, (n - 1).bit_length()) bits hold any vertex of 0..n-1, so the
-    key orders rows lexicographically and one 1-D sort replaces a row sort
-    plus a two-key lexsort.  The key is int32 while 2b < 31 (n <= 32768),
-    halving the sort's traffic, else int64; rows come back int64,
-    column-major.  Nothing is validated: endpoints must lie in 0..n-1, and
-    make_graph checks them for outside edge lists.
-    """
-    return _sorted_rows(_pair_key(pairs[:, 0], pairs[:, 1].astype(_key_dtype(n)), n), n)
-
-
-def _edge_graph(n: int, u: np.ndarray, v: np.ndarray, family: str | None = None) -> Graph:
-    """Graph of the valid, sorted edges u[k]-v[k]; a run of consecutive
-    partners of one vertex becomes one row."""
-    head = np.ones(len(u), dtype=bool)
-    np.not_equal(v[1:], v[:-1] + 1, out=head[1:])
-    head[1:] |= u[1:] != u[:-1]
+def _key_graph(n: int, key: np.ndarray, family: str | None = None) -> Graph:
+    """Graph of the valid edges whose sorted keys these are; each run of keys
+    one apart, consecutive partners of one vertex, becomes one row."""
+    # a key one above (u, v) is (u, v + 1): a carry would give (u + 1, 0), no edge as 0 < u + 1
+    head = np.ones(len(key), dtype=bool)
+    np.not_equal(np.diff(key), 1, out=head[1:])
     start = np.flatnonzero(head)
-    first = v[start]
-    return _interval_graph(n, u[start], first, first + np.diff(start, append=len(u)), family)
+    owner, first = _unpack(key[start], n)
+    return _interval_graph(n, owner, first, first + np.diff(start, append=len(key)), family)
 
 
 def _interval_graph(n: int, owner, first, last, family: str | None) -> Graph:
@@ -277,7 +274,9 @@ def make_topology(
         row = u * (2 * n - u - 1) // 2
         src = np.searchsorted(row, v, side="right") - 1
         v -= row[src] - src - 1  # each position becomes its pair's partner, in place
-        return _edge_graph(n, src, v, family)
+        src <<= _key_bits(n)
+        src |= v  # the pairs' keys, sorted as drawn
+        return _key_graph(n, src, family)
     return _interval_graph(n, owner, first, last, family)
 
 

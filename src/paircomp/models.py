@@ -85,7 +85,7 @@ def kt_distance(p, q) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisySorting:
     """Noisy-sorting model M_NS(ranks, lam), held without its n x n matrix.
 

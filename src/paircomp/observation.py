@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _key_dtype, _pair_key, _sorted_rows
-from .models import NoisySorting, _invert, check_permutation
+from .graphs import Graph
+from .models import NoisySorting, check_permutation
 
 __all__ = [
     "ObservationSample",
@@ -23,7 +23,7 @@ __all__ = [
     "sample_matrix",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationSample:
     """Observed pairwise outcomes for one design draw.
 
@@ -76,10 +76,7 @@ def observe(
     if size != g.n or len(sigma) != g.n:
         raise ValueError(f"size mismatch: matrix {size}, graph {g.n}, sigma {len(sigma)}")
 
-    # the graph's rows expand straight into item pairs inv[u], inv[v], in the
-    # key's width; the columns are dropped before the key is sorted
-    inv = _invert(sigma, _key_dtype(g.n))
-    pairs = _sorted_rows(_pair_key(*g._expand(inv), g.n), g.n)
+    pairs = g._pairs(sigma)
     # the gather is a fresh array, so a Bernoulli draw overwrites it with 1.0 or 0.0
     values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
     # before any draw; NaN fails every comparison, so it fails this check too

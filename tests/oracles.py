@@ -12,7 +12,7 @@ certify the answer before comparing against it.
 import numpy as np
 from scipy.optimize import lsq_linear, nnls
 
-from paircomp import Graph, ObservationSample, check_permutation, make_graph, sort_pairs
+from paircomp import Graph, ObservationSample, check_permutation, make_graph
 
 
 def reverse_permutation(n: int) -> np.ndarray:
@@ -69,14 +69,21 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return a
 
 
+def lexsort_reference(pairs) -> np.ndarray:
+    """Rows (min, max) of an (m, 2) integer array in lexicographic order, by a
+    row sort and a two-key lexsort: column-major int64."""
+    rows = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    return np.asfortranarray(rows[np.lexsort((rows[:, 1], rows[:, 0]))])
+
+
 def observe_by_edge_list(m, g: Graph, sigma, rng) -> ObservationSample:
     """observe's sample drawn over a materialised edge array: each edge
-    relabelled through the inverse assignment, then sort_pairs, as it was
-    while a Graph kept its edges.  No input is checked."""
+    relabelled through the inverse assignment, then sorted by
+    lexsort_reference, not by the package's edge key.  No input is checked."""
     sigma = check_permutation(sigma)
     inv = np.empty(g.n, dtype=np.int64)
     inv[sigma] = np.arange(g.n)
-    pairs = sort_pairs(inv[g.edges], g.n)
+    pairs = lexsort_reference(inv[g.edges])
     values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
     if rng is not None:
         np.less(rng.random(len(values)), values, out=values)

@@ -5,10 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paircomp import GRAPH_FAMILIES, degree_functional, make_graph, make_topology
-from paircomp.graphs import _interval_graph, sort_pairs
+from paircomp import (
+    GRAPH_FAMILIES,
+    NoisySorting,
+    degree_functional,
+    identity_permutation,
+    make_graph,
+    make_topology,
+    observe,
+)
+from paircomp.graphs import _interval_graph
 
-from oracles import InfeasibleDegreeSequenceError, adjacency_matrix, havel_hakimi
+from oracles import InfeasibleDegreeSequenceError, adjacency_matrix, havel_hakimi, lexsort_reference
 
 ALL_FAMILIES = [
     ("complete", 9, {}),
@@ -255,23 +263,19 @@ def test_edges_are_column_major_int64(family, n, kwargs):
         assert np.array_equal(h.edges, g.edges)
 
 
-def lexsort_reference(pairs):
-    rows = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
-    return rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-
-
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_sort_pairs_matches_lexsort(dtype):
     rng = np.random.default_rng(8)
-    big = 2**31 - 1  # n = 2**31: 31-bit shift, keys up to 2**62
     iu = np.column_stack(np.triu_indices(40, k=1))
+    drawn = rng.integers(0, 50, size=(300, 2))
+    rows = np.sort(drawn, axis=1)
+    _, once = np.unique(rows, axis=0, return_index=True)
+    once = np.sort(once[rows[once, 0] < rows[once, 1]])  # each pair's first draw, in draw order
     cases = [
         (1, np.zeros((0, 2))),
         (2, [(1, 0)]),
-        (2, [(0, 1), (1, 0), (0, 1)]),
         (3, [(2, 1), (1, 0), (2, 0)]),
-        (50, rng.integers(0, 50, size=(300, 2))),
-        (2**31, [(big, big - 1), (0, big), (big - 2, 5), (big - 1, big)]),
+        (50, drawn[once]),
         (40, iu),  # already sorted
         (40, iu[:, ::-1]),  # sorted, reversed orientation
         (40, iu[rng.permutation(len(iu))]),  # shuffled
@@ -279,9 +283,18 @@ def test_sort_pairs_matches_lexsort(dtype):
     ]
     for n, pairs in cases:
         pairs = np.asarray(pairs).astype(dtype).reshape(-1, 2)
-        out = sort_pairs(pairs, n)
+        out = make_graph(n, pairs).edges
         assert out.dtype == np.int64 and out.shape == pairs.shape
         assert np.array_equal(out, lexsort_reference(pairs)), n
+    # the drawn pairs repeat and loop: the key sees both, loops first
+    for n, pairs, msg in (
+        (50, drawn, "self-loops"),
+        (3, [(2, 1), (1, 1)], "self-loops"),
+        (2, [(0, 1), (1, 0), (0, 1)], "duplicate edges"),
+        (50, np.vstack([drawn[once], drawn[once[-1:], ::-1]]), "duplicate edges"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            make_graph(n, np.asarray(pairs).astype(dtype))
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -298,10 +311,15 @@ def test_sort_pairs_matches_lexsort_at_the_key_width_boundary(dtype):
         flip = rng.random(len(pairs)) < 0.5
         pairs[flip] = pairs[flip][:, ::-1]
         pairs = pairs.astype(dtype)
-        out = sort_pairs(pairs, n)
-        assert out.dtype == np.int64 and out.shape == pairs.shape
-        assert np.array_equal(out, lexsort_reference(pairs)), n
-        assert np.array_equal(make_graph(n, pairs).edges, out), n
+        g = make_graph(n, pairs)
+        assert np.array_equal(g.edges, lexsort_reference(pairs)), n
+        # observe packs the relabelled pairs (sigma[i], sigma[j]) = (u, v) into the same key
+        model = NoisySorting(identity_permutation(n), 0.3)
+        for sigma in (identity_permutation(n), np.arange(n)[::-1], rng.permutation(n)):
+            inv = np.argsort(sigma)
+            got = observe(model, g, sigma, None).pairs
+            assert got.dtype == np.int64 and got.flags.f_contiguous
+            assert np.array_equal(got, lexsort_reference(inv[pairs])), n
         with pytest.raises(ValueError, match="out of range"):
             make_graph(n, np.array([(0, n)], dtype=dtype))
 
@@ -429,6 +447,25 @@ def test_graphs_hold_at_most_16_bytes_per_edge(family):
         h, held = held_bytes(lambda: make_graph(n, e))
         assert held < 16 * h.num_edges + 40 * n, kwargs
         assert np.array_equal(h.edges, g.edges) and np.array_equal(h.degrees, g.degrees)
+
+
+def test_make_graph_peaks_below_two_int64_per_edge():
+    # the sorted key (int32 here) and, for the loop check, its two unpacked
+    # endpoints: never (m, 2) int64 rows nor an (m, 2) bool comparison
+    n = 2048
+    g = make_topology("two_cliques", n)
+    rng = np.random.default_rng(6)
+    e = np.array(g.edges[rng.permutation(g.num_edges)])
+    flip = rng.random(len(e)) < 0.5
+    e[flip] = e[flip][:, ::-1]
+    tracemalloc.start()
+    try:
+        h = make_graph(n, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * 8 * g.num_edges
+    assert np.array_equal(h.indptr, g.indptr) and np.array_equal(h.first, g.first)
 
 
 def test_interval_graph_rejects_bad_intervals():

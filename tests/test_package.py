@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import paircomp
 from paircomp.cli import main
 
@@ -27,7 +29,7 @@ DELETED = {
     "sample_to_text", "sample_from_text", "to_edge_list", "from_edge_list",
     "matrix_to_csv", "matrix_from_csv", "permutation_to_line", "permutation_from_line",
     "is_sst", "inversion_set", "row_block_average", "check_comparison_matrix", "pav_isotonic",
-    "inverse_permutation",
+    "inverse_permutation", "sort_pairs",
 }
 MOVED = {
     "havel_hakimi", "InfeasibleDegreeSequenceError", "adjacency_matrix",
@@ -87,6 +89,36 @@ def test_estimators_import_nothing_from_graphs():
     names = _imported_names(importlib.import_module("paircomp.estimators"))
     assert "paircomp.models" in names
     assert not [name for name in names if f"{name}.".startswith("paircomp.graphs.")], names
+
+
+def test_observation_imports_only_graph_from_graphs():
+    # the edge key, its width and its int32/int64 choice stay inside graphs
+    names = _imported_names(importlib.import_module("paircomp.observation"))
+    graphs = sorted(name for name in names if f"{name}.".startswith("paircomp.graphs."))
+    assert graphs == ["paircomp.graphs", "paircomp.graphs.Graph"], names
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a generated __eq__ would compare their numpy arrays field by field and raise
+    def build():
+        g = paircomp.make_topology("star", 6)
+        model = paircomp.NoisySorting(paircomp.identity_permutation(6), 0.3)
+        return (
+            g,
+            model,
+            paircomp.observe(model, g, paircomp.identity_permutation(6), None),
+            paircomp.block_partition(np.arange(6.0), 2.0, 6.0),
+            paircomp.project_biso(paircomp.make_noisy_sorting(model.ranks, 0.3)),
+            paircomp.adversarial_pair(g, "independent_set"),
+        )
+
+    names = ["Graph", "NoisySorting", "ObservationSample"]
+    names += ["BlockPartition", "BisoProjection", "AdversarialPair"]
+    for name, a, b in zip(names, build(), build(), strict=True):
+        assert type(a) is getattr(paircomp, name)
+        assert a == a and not a != a, name
+        assert a != b and not a == b, name  # equal fields, yet two objects
+        assert hash(a) == hash(a) and len({a, b}) == 2, name
 
 
 def _read_names(tree: ast.AST) -> set[str]:
