@@ -57,7 +57,7 @@ def asp_lambda_mle(s: ObservationSample, pi) -> float:
     p = check_permutation(pi).astype(np.int32)  # every rank is < n: half-size gathers
     if len(p) != s.n:
         raise ValueError(f"ranking of {len(p)} items does not match a sample of size {s.n}")
-    inverted = p[s.pairs[:, 0]] > p[s.pairs[:, 1]]
+    inverted = np.repeat(p, np.diff(s.indptr)) > p[s.partners]
     # |inverted - y| is 1 - y on inverted pairs and y elsewhere, in one array
     aligned = np.subtract(inverted, s.values)
     np.abs(aligned, out=aligned)
@@ -281,9 +281,9 @@ def _sample_block_means(s: ObservationSample, lab: np.ndarray, k: int) -> np.nda
     m = s.num_pairs
     key = np.empty(2 * m, dtype=np.int64)
     fwd, rev = key[:m], key[m:]
+    fwd[...] = np.repeat(lab, np.diff(s.indptr))
     # a plain gather: np.take(out=) would buffer its output and copy the read-only column
-    fwd[...] = lab[s.pairs[:, 0]]
-    rev[...] = lab[s.pairs[:, 1]]
+    rev[...] = lab[s.partners]
     fwd *= k
     fwd += rev
     rev *= k

@@ -93,15 +93,17 @@ class Graph:
         v = label[v]  # before the owners' column, which then reuses the memory freed here
         return np.repeat(label, np.diff(self.indptr)), v
 
-    def _pairs(self, sigma: np.ndarray) -> np.ndarray:
-        """Item pairs (i, j), i < j, whose vertices sigma[i], sigma[j] share an edge, for
-        a checked permutation sigma: lexicographically sorted, column-major int64."""
+    def _rows(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Item rows under a checked permutation sigma: item i's partners j > i, those
+        whose vertices sigma[i], sigma[j] share an edge, are partners[indptr[i]:indptr[i + 1]]
+        in ascending order.  indptr (n + 1 offsets) and partners are int64."""
         # the rows expand into item pairs inv[u], inv[v], dropped once packed into keys
         key = _pair_key(*self._expand(_invert(sigma, _key_dtype(self.n))), self.n)
         key.sort()
-        pairs = np.empty((len(key), 2), dtype=np.int64, order="F")
-        _unpack(key, self.n, pairs[:, 0], pairs[:, 1])
-        return pairs
+        bits = _key_bits(self.n)
+        # item i's keys start at the first key >= i << b: no column of first items
+        indptr = np.searchsorted(key, np.arange(self.n + 1, dtype=key.dtype) << bits)
+        return indptr, np.bitwise_and(key, (1 << bits) - 1, dtype=np.int64)
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -113,8 +115,10 @@ def make_graph(n: int, edges) -> Graph:
         raise ValueError(f"edges must have shape (m, 2), got {e.shape}")
     if e.dtype.kind == "f" and not np.all(np.isfinite(e) & (e == np.floor(e))):
         raise ValueError("edge endpoints must be integers")
-    with np.errstate(invalid="ignore"):  # a float past int64 casts out of range
-        e = e.astype(np.int64, copy=False).reshape(-1, 2)
+    if not np.can_cast(e.dtype, np.int64):  # integers int64 holds go to the key uncopied
+        with np.errstate(invalid="ignore"):  # a float past int64 casts out of range
+            e = e.astype(np.int64)
+    e = e.reshape(-1, 2)
     if len(e) and (e.min() < 0 or e.max() >= n):  # before the key narrows them
         raise ValueError("edge endpoint out of range")
     key = _pair_key(e[:, 0], e[:, 1].astype(_key_dtype(n)), n)
@@ -146,10 +150,10 @@ def _pair_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _unpack(key: np.ndarray, n: int, lo=None, hi=None) -> tuple[np.ndarray, np.ndarray]:
-    """Each key's endpoints min and max, written into lo and hi when given."""
+def _unpack(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's endpoints min and max."""
     bits = _key_bits(n)
-    return np.right_shift(key, bits, out=lo), np.bitwise_and(key, (1 << bits) - 1, out=hi)
+    return key >> bits, key & (1 << bits) - 1
 
 
 def _key_graph(n: int, key: np.ndarray, family: str | None = None) -> Graph:

@@ -23,25 +23,39 @@ __all__ = [
     "sample_matrix",
 ]
 
+_BLOCK = 1 << 16  # pairs per block of observe's gathers and draws: 512 kB of float64
+
+
 @dataclass(frozen=True, eq=False)
 class ObservationSample:
     """Observed pairwise outcomes for one design draw.
 
-    pairs holds the observed (i, j) with i < j, lexicographically sorted;
-    values holds Y_ij in [0, 1] (the reverse direction is implied via
+    The observed pairs (i, j) with i < j are held as rows: item i's partners
+    j are partners[indptr[i]:indptr[i + 1]], ascending, so the pairs run in
+    lexicographic order; indptr holds n + 1 offsets.  values holds Y_ij in
+    [0, 1] in that order (the reverse direction is implied via
     Y_ji = 1 - Y_ij and is never stored).  counts holds each item's number
     of observed comparisons; it is trusted as given.  The assignment sigma
     that produced the pair set stays with the caller.
     """
 
     n: int
-    pairs: np.ndarray
+    indptr: np.ndarray
+    partners: np.ndarray
     values: np.ndarray
     counts: np.ndarray
 
     @property
     def num_pairs(self) -> int:
-        return int(self.pairs.shape[0])
+        return len(self.partners)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """Pairs (i, j) as rows of an (m, 2) array: column-major int64, read-only,
+        expanded afresh on each access."""
+        p = np.vstack((np.repeat(np.arange(self.n), np.diff(self.indptr)), self.partners)).T
+        p.setflags(write=False)
+        return p
 
 
 def assign_random(g: Graph, rng: np.random.Generator) -> np.ndarray:
@@ -76,19 +90,27 @@ def observe(
     if size != g.n or len(sigma) != g.n:
         raise ValueError(f"size mismatch: matrix {size}, graph {g.n}, sigma {len(sigma)}")
 
-    pairs = g._pairs(sigma)
-    # the gather is a fresh array, so a Bernoulli draw overwrites it with 1.0 or 0.0
-    values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
+    indptr, partners = g._rows(sigma)
+    values = np.empty(len(partners))
+    blocks = [(lo, min(lo + _BLOCK, len(values))) for lo in range(0, len(values), _BLOCK)]
+    for lo, hi in blocks:
+        # rows r0..r1 - 1 meet the block; each gives its pairs there one first item
+        r0 = np.searchsorted(indptr, lo, side="right") - 1
+        r1 = np.searchsorted(indptr, hi)
+        first = np.repeat(np.arange(r0, r1), np.diff(indptr[r0 : r1 + 1].clip(lo, hi)))
+        values[lo:hi] = m[first, partners[lo:hi]]
     # before any draw; NaN fails every comparison, so it fails this check too
     if dense and not (values.min(initial=0.5) >= 0.0 and values.max(initial=0.5) <= 1.0):
         raise ValueError("entries must lie in [0, 1]")
     if rng is not None:
-        np.less(rng.random(len(values)), values, out=values)
+        # rng.random(a) then rng.random(b) draws the doubles of rng.random(a + b)
+        for lo, hi in blocks:
+            np.less(rng.random(hi - lo), values[lo:hi], out=values[lo:hi])
     # item i is compared along exactly the edges at its vertex sigma(i)
     counts = g.degrees[sigma]
-    for a in (pairs, values, counts):
+    for a in (indptr, partners, values, counts):
         a.setflags(write=False)
-    return ObservationSample(n=g.n, pairs=pairs, values=values, counts=counts)
+    return ObservationSample(g.n, indptr, partners, values, counts)
 
 
 def empirical_scores(s: ObservationSample) -> np.ndarray:
@@ -98,9 +120,9 @@ def empirical_scores(s: ObservationSample) -> np.ndarray:
     # np.add.at sums in index order from zero, as bincount does, but reads the
     # sample's read-only arrays in place where bincount would copy them
     wins = np.zeros(s.n)
-    np.add.at(wins, s.pairs[:, 0], s.values)
+    np.add.at(wins, np.repeat(np.arange(s.n), np.diff(s.indptr)), s.values)
     lost = np.zeros(s.n)
-    np.add.at(lost, s.pairs[:, 1], 1.0 - s.values)
+    np.add.at(lost, s.partners, 1.0 - s.values)
     wins += lost
     return wins / s.counts
 
@@ -113,7 +135,7 @@ def sample_matrix(s: ObservationSample) -> tuple[np.ndarray, np.ndarray]:
     """
     y = np.full((s.n, s.n), 0.5)
     observed = np.zeros((s.n, s.n), dtype=bool)
-    i, j = s.pairs[:, 0], s.pairs[:, 1]
+    i, j = s.pairs.T
     y[i, j] = s.values
     y[j, i] = 1.0 - s.values
     observed[i, j] = True

@@ -76,6 +76,14 @@ def lexsort_reference(pairs) -> np.ndarray:
     return np.asfortranarray(rows[np.lexsort((rows[:, 1], rows[:, 0]))])
 
 
+def sample_of_pairs(n: int, pairs, values, counts) -> ObservationSample:
+    """A sample of lexicographically sorted pairs (i, j), i < j, in its row
+    layout: offsets over the first column, and the second as the partners."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    indptr = np.searchsorted(pairs[:, 0], np.arange(n + 1))
+    return ObservationSample(n, indptr, np.ascontiguousarray(pairs[:, 1]), values, counts)
+
+
 def observe_by_edge_list(m, g: Graph, sigma, rng) -> ObservationSample:
     """observe's sample drawn over a materialised edge array: each edge
     relabelled through the inverse assignment, then sorted by
@@ -87,7 +95,7 @@ def observe_by_edge_list(m, g: Graph, sigma, rng) -> ObservationSample:
     values = m[pairs[:, 0], pairs[:, 1]].astype(np.float64, copy=False)
     if rng is not None:
         np.less(rng.random(len(values)), values, out=values)
-    return ObservationSample(g.n, pairs, values, counts=g.degrees[sigma])
+    return sample_of_pairs(g.n, pairs, values, g.degrees[sigma])
 
 
 class InfeasibleDegreeSequenceError(ValueError):

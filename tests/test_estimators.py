@@ -7,7 +7,6 @@ import pytest
 
 from paircomp import (
     NoisySorting,
-    ObservationSample,
     asp_estimate,
     asp_lambda_mle,
     asp_sort,
@@ -32,6 +31,7 @@ from oracles import (
     biso_projection_by_nnls,
     block_partition_labels_at_stride_t,
     permute_matrix,
+    sample_of_pairs,
     weighted_grid_projection_by_bvls,
 )
 
@@ -76,12 +76,7 @@ def test_asp_lambda_mle_cases():
     ones = dataclasses.replace(s, values=np.ones(s.num_pairs))
     assert asp_lambda_mle(ones, ident(6)) == 0.5
 
-    empty = type(s)(
-        n=2,
-        pairs=np.empty((0, 2), dtype=np.int64),
-        values=np.empty(0),
-        counts=np.zeros(2, dtype=np.int64),
-    )
+    empty = sample_of_pairs(2, np.empty((0, 2)), np.empty(0), np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
         asp_lambda_mle(empty, ident(2))
 
@@ -119,7 +114,7 @@ def test_asp_lambda_mle_alignment_matches_where_formula_bit_for_bit():
             got = np.subtract(inverted, y)
             np.abs(got, out=got)
             assert got.tobytes() == ref.tobytes()
-            s = ObservationSample(n=n, pairs=pairs, values=y, counts=np.full(n, n - 1))
+            s = sample_of_pairs(n, pairs, y, np.full(n, n - 1))
             assert asp_lambda_mle(s, pi) == min(max(float(ref.mean() - 0.5), 0.0), 0.5)
 
 

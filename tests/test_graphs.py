@@ -449,23 +449,49 @@ def test_graphs_hold_at_most_16_bytes_per_edge(family):
         assert np.array_equal(h.edges, g.edges) and np.array_equal(h.degrees, g.degrees)
 
 
-def test_make_graph_peaks_below_two_int64_per_edge():
-    # the sorted key (int32 here) and, for the loop check, its two unpacked
-    # endpoints: never (m, 2) int64 rows nor an (m, 2) bool comparison
+def make_graph_peak_on_shuffled_edges(dtype) -> float:
+    """make_graph's tracemalloc peak, in int64s per edge, on two_cliques n = 2048's
+    edges in dtype, shuffled and half of them flipped."""
     n = 2048
     g = make_topology("two_cliques", n)
     rng = np.random.default_rng(6)
     e = np.array(g.edges[rng.permutation(g.num_edges)])
     flip = rng.random(len(e)) < 0.5
     e[flip] = e[flip][:, ::-1]
+    e = e.astype(dtype)
     tracemalloc.start()
     try:
         h = make_graph(n, e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.8 * 8 * g.num_edges
     assert np.array_equal(h.indptr, g.indptr) and np.array_equal(h.first, g.first)
+    return peak / (8 * g.num_edges)
+
+
+def test_make_graph_peaks_below_two_int64_per_edge():
+    # the sorted key (int32 here) and, for the loop check, its two unpacked
+    # endpoints: never (m, 2) int64 rows nor an (m, 2) bool comparison
+    assert make_graph_peak_on_shuffled_edges(np.int64) <= 1.8
+
+
+def test_make_graph_keys_int32_edges_without_an_int64_copy():
+    # integer input goes to the range check and the key as it is; an int64
+    # cast of the whole list first would peak at 3.63
+    assert make_graph_peak_on_shuffled_edges(np.int32) <= 1.8
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.uint8, np.int16, np.uint16, np.uint32, np.uint64, bool]
+)
+def test_make_graph_takes_every_integer_dtype(dtype):
+    # a dtype int64 cannot hold (uint64) is cast first: past-int64 values fail the range check
+    assert make_graph(3, np.array([(1, 0)], dtype=dtype)).edges.tolist() == [[0, 1]]
+    if dtype is not bool:
+        g = make_graph(4, np.array([(2, 1), (3, 0)], dtype=dtype))
+        assert g.edges.tolist() == [[0, 3], [1, 2]]
+        with pytest.raises(ValueError, match="out of range"):
+            make_graph(3, np.array([(0, np.iinfo(dtype).max)], dtype=dtype))
 
 
 def test_interval_graph_rejects_bad_intervals():

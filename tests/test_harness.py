@@ -216,7 +216,7 @@ def test_ns_asp_graph_and_trial_allocate_few_edge_sized_arrays(mode):
     finally:
         tracemalloc.stop()
     assert rec.error is None
-    assert peak <= 4.2 * 8 * (n // 2) * (n // 2 - 1)  # two_cliques: m = 2 C(n/2, 2)
+    assert peak <= 3.2 * 8 * (n // 2) * (n // 2 - 1)  # two_cliques: m = 2 C(n/2, 2)
 
 
 def test_run_trial_records_nonconverged_projection(monkeypatch):

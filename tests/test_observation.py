@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from paircomp import (
     NoisySorting,
-    ObservationSample,
     asp_estimate,
     assign_random,
     empirical_scores,
@@ -19,8 +19,9 @@ from paircomp import (
     sample_matrix,
     sample_sst_bands,
 )
+from paircomp import observation
 
-from oracles import adjacency_matrix, observe_by_edge_list, scores
+from oracles import adjacency_matrix, observe_by_edge_list, sample_of_pairs, scores
 
 
 def draws(mode, rng):
@@ -207,18 +208,13 @@ def test_empirical_scores_are_bit_identical_to_the_bincount_formula():
     ]
     uniform = rng.random(g.num_edges)  # non-dyadic values
     uniform.setflags(write=False)  # frozen, as observe leaves its values
-    samples.append(ObservationSample(g.n, g.edges, uniform, counts=g.degrees))
+    samples.append(sample_of_pairs(g.n, g.edges, uniform, g.degrees))
     for s in samples:
         assert empirical_scores(s).tobytes() == reference(s).tobytes()
 
 
 def test_empirical_scores_rejects_unobserved_item():
-    s = ObservationSample(
-        n=3,
-        pairs=np.array([[0, 1]]),
-        values=np.array([1.0]),
-        counts=np.array([1, 1, 0]),
-    )
+    s = sample_of_pairs(3, [[0, 1]], np.array([1.0]), np.array([1, 1, 0]))
     with pytest.raises(ValueError, match="item 2"):
         empirical_scores(s)
 
@@ -234,7 +230,10 @@ def test_observe_counts_are_the_recount_of_its_pairs(family, mode):
     model = NoisySorting(identity_permutation(g.n), 0.3)
     s = observe(model, g, assign_random(g, rng), draws(mode, rng))
     assert s.pairs.dtype == np.int64 and s.pairs.flags.f_contiguous
-    assert s.counts.dtype == np.int64 and not s.counts.flags.writeable
+    assert not s.pairs.flags.writeable and s.pairs is not s.pairs  # expanded on each access
+    for a in (s.indptr, s.partners, s.counts):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert len(s.indptr) == g.n + 1 and s.num_pairs == len(s.partners) == g.num_edges
     assert np.array_equal(s.counts, np.bincount(s.pairs.ravel(), minlength=g.n))
 
 
@@ -295,6 +294,46 @@ def test_observe_relabels_the_rows_as_the_edge_list_did(mode):
                 assert a.tobytes("A") == b.tobytes("A"), (g.family, g.n)
 
 
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_observe_by_blocks_draws_the_one_shot_stream(monkeypatch, mode):
+    # rng.random(a) then rng.random(b) draws the doubles of rng.random(a + b),
+    # so a block edge anywhere in a row changes no value and no generator state
+    block = 8
+    monkeypatch.setattr(observation, "_BLOCK", block)
+    edges = make_topology("complete", 12).edges  # rows of 11, 10, ... partners
+    for size in (block - 1, block, block + 1, 3 * block - 1, 3 * block, 3 * block + 1):
+        g = make_graph(12, edges[:size])
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            sigma = rng.permutation(12)
+            for m in (NoisySorting(rng.permutation(12), 0.3), sample_sst_bands(12, rng)):
+                got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = observe(m, g, sigma, draws(mode, got_rng))
+                ref = observe_by_edge_list(m, g, sigma, draws(mode, ref_rng))
+                assert got.num_pairs == size
+                for a, b in (
+                    (got.indptr, ref.indptr), (got.partners, ref.partners),
+                    (got.values, ref.values), (got.counts, ref.counts),
+                ):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (size, seed)
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_observe_checks_the_last_block_before_any_draw(monkeypatch):
+    monkeypatch.setattr(observation, "_BLOCK", 8)
+    g = make_topology("complete", 12)  # 66 pairs: the last block holds two
+    sigma = np.random.default_rng(0).permutation(12)
+    m = sample_sst_bands(12, np.random.default_rng(1))
+    i, j = observe(m, g, sigma, None).pairs[-1]
+    m[i, j] = 1.5
+    for mode in ("bernoulli", "expectation"):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape("entries must lie in [0, 1]")):
+            observe(m, g, sigma, draws(mode, rng))
+        assert rng.bit_generator.state == state, mode
+
+
 def traced_peak(f, *args):
     tracemalloc.start()
     try:
@@ -315,7 +354,7 @@ def test_ns_asp_steps_allocate_few_edge_sized_arrays(mode):
     rng = np.random.default_rng(8)
     model = NoisySorting(identity_permutation(n), 0.2)
     s, peak = traced_peak(observe, model, g, assign_random(g, rng), draws(mode, rng))
-    assert peak < 4.05 * unit
+    assert peak <= 2.3 * unit  # the partners and the values, and one block's temporaries
     _, peak = traced_peak(empirical_scores, s)
     assert peak < 1.05 * unit
     _, peak = traced_peak(asp_estimate, s)
