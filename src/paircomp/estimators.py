@@ -57,7 +57,7 @@ def asp_lambda_mle(s: ObservationSample, pi) -> float:
     p = check_permutation(pi).astype(np.int32)  # every rank is < n: half-size gathers
     if len(p) != s.n:
         raise ValueError(f"ranking of {len(p)} items does not match a sample of size {s.n}")
-    inverted = np.repeat(p, np.diff(s.indptr)) > p[s.partners]
+    inverted = s._first(p) > p[s.partners]
     # |inverted - y| is 1 - y on inverted pairs and y elsewhere, in one array
     aligned = np.subtract(inverted, s.values)
     np.abs(aligned, out=aligned)
@@ -265,23 +265,21 @@ def block_partition(values, t: float, upper: float) -> BlockPartition:
     return BlockPartition(labels=labels)
 
 
-def _block_means(key: np.ndarray, values, k: int) -> np.ndarray:
-    """k x k means of values by block key a * k + b; 1/2 where a block has none."""
-    counts = np.bincount(key, minlength=k * k)
-    sums = np.bincount(key, weights=values, minlength=k * k)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.5).reshape(k, k)
+def block_average(s: ObservationSample, c: BlockPartition) -> np.ndarray:
+    """k x k grid of s's mean outcomes over the block pairs of c, in c's group order.
 
-
-def _sample_block_means(s: ObservationSample, lab: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_block_means` of s's observed pairs taken in both orders.
-
-    Pair (i, j) adds y at key a*k + b and 1 - y at key b*k + a, where
-    a = lab[i] and b = lab[j].
+    Each observed pair is taken in both orders: pair (i, j) adds y to block
+    (a, b) and 1 - y to block (b, a), where a = c.labels[i] and
+    b = c.labels[j].  A block pair with no observed pair is 1/2.  The n x n
+    block-constant matrix is grid[c.labels[:, None], c.labels].
     """
-    m = s.num_pairs
+    lab = c.labels
+    if len(lab) != s.n:
+        raise ValueError(f"partition of {len(lab)} items does not match a sample of size {s.n}")
+    k, m = c.num_groups, s.num_pairs
     key = np.empty(2 * m, dtype=np.int64)
     fwd, rev = key[:m], key[m:]
-    fwd[...] = np.repeat(lab, np.diff(s.indptr))
+    fwd[...] = s._first(lab)
     # a plain gather: np.take(out=) would buffer its output and copy the read-only column
     rev[...] = lab[s.partners]
     fwd *= k
@@ -291,23 +289,9 @@ def _sample_block_means(s: ObservationSample, lab: np.ndarray, k: int) -> np.nda
     values = np.empty(2 * m)
     values[:m] = s.values
     np.subtract(1.0, s.values, out=values[m:])
-    return _block_means(key, values, k)
-
-
-def block_average(x: np.ndarray, observed: np.ndarray, c: BlockPartition) -> np.ndarray:
-    """Replace each partition block with the mean of its observed entries.
-
-    Blocks are products S x T of partition groups; blocks with no observed
-    entries are set to 1/2.  The observed mask should be symmetric (each
-    observed pair present in both orders with x_ji = 1 - x_ij).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    lab = c.labels
-    if len(lab) != len(x):
-        raise ValueError(f"partition of {len(lab)} items does not match a matrix of size {len(x)}")
-    i, j = np.nonzero(observed)
-    k = c.num_groups
-    return _block_means(lab[i] * k + lab[j], x[i, j], k)[lab[:, None], lab]
+    counts = np.bincount(key, minlength=k * k)
+    sums = np.bincount(key, weights=values, minlength=k * k)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.5).reshape(k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +306,11 @@ def bap_estimate(s1: ObservationSample, s2: ObservationSample) -> np.ndarray:
     (n/D_i) sum_j Y_ij equal n times the empirical scores, which are
     partitioned with gap t = sum_v 1/sqrt(d_v), summed over the first
     sample's counts (item i has its vertex's d_sigma(i)), into one label per
-    item.  The groups are score intervals, so the labels counted from the highest
-    group follow the score ranking; the k x k block means of the second
-    sample (the first again for single-sample BAP) over those labels go to
-    :func:`project_biso` with the group sizes, at tolerance BAP_TOL.  Raises
-    RuntimeError when the projection stops without converging, and
+    item.  The groups are score intervals, so counted from the highest they
+    follow the score ranking: :func:`block_average` of the second sample (the
+    first again for single-sample BAP), its grid and group sizes reversed,
+    goes to :func:`project_biso` at tolerance BAP_TOL.  Raises RuntimeError
+    when the projection stops without converging, and
     :func:`empirical_scores`' ValueError when an item has no comparisons.
     """
     if s1.n != s2.n:
@@ -336,14 +320,13 @@ def bap_estimate(s1: ObservationSample, s2: ObservationSample) -> np.ndarray:
     tau_hat = empirical_scores(s1)
     t = float(np.sum(1.0 / np.sqrt(s1.counts)))
     partition = block_partition(n * tau_hat, t, upper=n)
-    k = partition.num_groups
-    lab = k - 1 - partition.labels
+    lab = partition.labels
 
-    grid = _sample_block_means(s2, lab, k)
-    projected = project_biso(grid, tol=BAP_TOL, sizes=np.bincount(lab, minlength=k))
+    grid = block_average(s2, partition)[::-1, ::-1]
+    projected = project_biso(grid, tol=BAP_TOL, sizes=np.bincount(lab)[::-1])
     if not projected.converged:
         raise RuntimeError(
             f"biso projection did not converge in {projected.iterations} iterations"
             f" (tol {BAP_TOL:g})"
         )
-    return projected.matrix[lab[:, None], lab]
+    return projected.matrix[::-1, ::-1][lab[:, None], lab]

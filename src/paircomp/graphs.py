@@ -195,6 +195,24 @@ def _interval_graph(n: int, owner, first, last, family: str | None) -> Graph:
     return Graph(n, indptr, first, last, degrees, family)
 
 
+def _check_topology(family: str, n: int, alpha: float | None, p: float | None) -> None:
+    """make_topology's checks of all but the generator; ExperimentSpec runs
+    them on each of its sizes, so a sweep with a bad size runs no trial."""
+    if family not in GRAPH_FAMILIES:
+        raise ValueError(f"unknown graph family {family!r}")
+    if family in _EVEN_N_FAMILIES:
+        if n < 4 or n % 2 != 0:
+            raise ValueError(f"{family} requires an even n >= 4, got n={n}")
+    elif n < 2:
+        raise ValueError(f"{family} requires n >= 2, got n={n}")
+    if family == "cycle" and n < 3:
+        raise ValueError(f"cycle requires n >= 3, got n={n}")
+    if family == "regular_bipartite" and (alpha is None or not 0.0 < alpha <= 1.0):
+        raise ValueError("regular_bipartite requires alpha in (0, 1]")
+    if family == "erdos_renyi" and (p is None or not 0.0 < p <= 1.0):
+        raise ValueError("erdos_renyi requires p in (0, 1]")
+
+
 def make_topology(
     family: str,
     n: int,
@@ -220,13 +238,9 @@ def make_topology(
     rng : numpy Generator, optional
         Required for erdos_renyi only.
     """
-    if family not in GRAPH_FAMILIES:
-        raise ValueError(f"unknown graph family {family!r}")
-    if family in _EVEN_N_FAMILIES:
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"{family} requires an even n >= 4, got n={n}")
-    elif n < 2:
-        raise ValueError(f"{family} requires n >= 2, got n={n}")
+    _check_topology(family, n, alpha, p)
+    if family == "erdos_renyi" and rng is None:
+        raise ValueError("erdos_renyi requires a seeded generator")
 
     h = n // 2
     owner = u = np.arange(n)  # one row per vertex, unless a family adds rows
@@ -251,15 +265,11 @@ def make_topology(
     elif family == "path":
         first, last = u + 1, np.minimum(u + 2, n)
     elif family == "cycle":
-        if n < 3:
-            raise ValueError(f"cycle requires n >= 3, got n={n}")
         # path's rows, plus the closing edge 0-(n-1) as vertex 0's second row
         owner = np.insert(u, 1, 0)
         first = np.insert(u + 1, 1, n - 1)
         last = np.insert(np.minimum(u + 2, n), 1, n)
     elif family == "regular_bipartite":
-        if alpha is None or not 0.0 < alpha <= 1.0:
-            raise ValueError("regular_bipartite requires alpha in (0, 1]")
         d = max(1, int(math.floor(h**alpha + 1e-9)))
         # left u meets h + (u + j) % h for j < d: h + u .. h + min(u + d, h) - 1,
         # after the wrapped block h .. u + d - 1 when u + d > h
@@ -269,10 +279,6 @@ def make_topology(
         first = np.insert(h + u, wrap, h)
         last = np.insert(h + np.minimum(u + d, h), wrap, wrap + d)
     else:  # erdos_renyi
-        if p is None or not 0.0 < p <= 1.0:
-            raise ValueError("erdos_renyi requires p in (0, 1]")
-        if rng is None:
-            raise ValueError("erdos_renyi requires a seeded generator")
         # row u of the upper triangle lists the pairs u-(u+1..n-1) from position u(2n - u - 1)/2
         v = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)  # the kept positions
         row = u * (2 * n - u - 1) // 2

@@ -23,7 +23,7 @@ from itertools import chain, product, repeat
 import numpy as np
 
 from .estimators import asp_estimate, bap_estimate
-from .graphs import GRAPH_FAMILIES, Graph, degree_functional, make_topology
+from .graphs import GRAPH_FAMILIES, Graph, _check_topology, degree_functional, make_topology
 from .models import (
     NoisySorting,
     frobenius_error,
@@ -93,6 +93,8 @@ class ExperimentSpec:
             raise ValueError(f"mode must be one of {_MODES}")
         if self.model == "ns" and not 0.0 <= self.lambda_star <= 0.5:
             raise ValueError("lambda_star must lie in [0, 1/2]")
+        for n in self.n_values:  # a bad size fails here, before a sweep runs a trial
+            _check_topology(self.graph_family, n, self.bipartite_alpha, self.edge_probability)
 
 
 @dataclass(frozen=True)

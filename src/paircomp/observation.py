@@ -53,14 +53,19 @@ class ObservationSample:
     def pairs(self) -> np.ndarray:
         """Pairs (i, j) as rows of an (m, 2) array: column-major int64, read-only,
         expanded afresh on each access."""
-        p = np.vstack((np.repeat(np.arange(self.n), np.diff(self.indptr)), self.partners)).T
+        p = np.vstack((self._first(np.arange(self.n)), self.partners)).T
         p.setflags(write=False)
         return p
+
+    def _first(self, label: np.ndarray) -> np.ndarray:
+        """label[i] for each pair's first item i, in pair order: a fresh array
+        of label's dtype, so a reader expands the column at the width it gathers."""
+        return np.repeat(label, np.diff(self.indptr))
 
 
 def assign_random(g: Graph, rng: np.random.Generator) -> np.ndarray:
     """Uniformly random item-to-vertex assignment (Fisher-Yates)."""
-    return rng.permutation(g.n).astype(np.int64)
+    return rng.permutation(g.n).astype(np.int64, copy=False)
 
 
 def observe(
@@ -120,7 +125,7 @@ def empirical_scores(s: ObservationSample) -> np.ndarray:
     # np.add.at sums in index order from zero, as bincount does, but reads the
     # sample's read-only arrays in place where bincount would copy them
     wins = np.zeros(s.n)
-    np.add.at(wins, np.repeat(np.arange(s.n), np.diff(s.indptr)), s.values)
+    np.add.at(wins, s._first(np.arange(s.n)), s.values)
     lost = np.zeros(s.n)
     np.add.at(lost, s.partners, 1.0 - s.values)
     wins += lost

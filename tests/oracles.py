@@ -150,6 +150,23 @@ def block_partition_labels_at_stride_t(values, t, upper):
     return np.unique(np.searchsorted(lows, v, side="right"), return_inverse=True)[1]
 
 
+def block_average(x, observed, c) -> np.ndarray:
+    """n x n matrix whose block S x T of partition c holds the mean of x over
+    the observed entries there, 1/2 where none is observed: the dense form of
+    ``paircomp.block_average``, summed in row-major order.  The mask should
+    be symmetric, each observed pair present in both orders with
+    x_ji = 1 - x_ij, as ``sample_matrix`` gives."""
+    x = np.asarray(x, dtype=np.float64)
+    lab = c.labels
+    i, j = np.nonzero(observed)
+    k = c.num_groups
+    key = lab[i] * k + lab[j]
+    counts = np.bincount(key, minlength=k * k)
+    sums = np.bincount(key, weights=x[i, j], minlength=k * k)
+    grid = np.where(counts > 0, sums / np.maximum(counts, 1), 0.5).reshape(k, k)
+    return grid[lab[:, None], lab]
+
+
 def triangle_differences(n):
     """Strict upper triangle indices of an n x n grid and the matrix D of its
     constraints: D u >= 0 says rows nondecrease and columns nonincrease."""

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from paircomp import (
     assign_random,
 )
 from paircomp import estimators
+import oracles
 from oracles import (
     biso_projection_by_nnls,
     block_partition_labels_at_stride_t,
@@ -276,7 +278,7 @@ def bap_projection_input(family, n, seed, mode="bernoulli"):
     t = float(np.sum(1.0 / np.sqrt(g.degrees)))
     c = block_partition(np.clip(n * tau, 0.0, n), t, upper=n)
     inv = np.argsort(asp_sort(tau))
-    return permute_matrix(block_average(*sample_matrix(s2), c), inv)
+    return permute_matrix(oracles.block_average(*sample_matrix(s2), c), inv)
 
 
 def test_project_matches_nnls_dual_oracle():
@@ -601,34 +603,76 @@ def test_block_partition_labels_read_only():
 def test_block_average_rejects_size_mismatch():
     c = block_partition(np.arange(4, dtype=float), 2.0, upper=4.0)
     for n in (3, 5):
-        x = np.full((n, n), 0.5)
+        s = expectation_sample(np.full((n, n), 0.5), make_topology("complete", n))
         with pytest.raises(ValueError, match=f"4 items .* size {n}"):
-            block_average(x, ~np.eye(n, dtype=bool), c)
+            block_average(s, c)
 
 
 def test_block_average_cases():
-    # single group, fully observed: symmetric mean is exactly 1/2
+    # single group, fully observed: each pair adds y and 1 - y, so the mean is 1/2
     n = 4
     y = np.random.default_rng(11).random((n, n))
-    y = np.clip(0.5 * (y - y.T + 1), 0, 1)
-    observed = ~np.eye(n, dtype=bool)
+    s = expectation_sample(y, make_topology("complete", n))
     c = block_partition(np.zeros(n), 2.0, upper=float(n))
     assert c.num_groups == 1
-    out = block_average(y, observed, c)
-    assert np.allclose(out, y[observed].mean())
+    out = block_average(s, c)
+    assert out.shape == (1, 1) and out[0, 0] == pytest.approx(0.5)
+    dense = oracles.block_average(*sample_matrix(s), c)
+    assert np.array_equal(out[c.labels[:, None], c.labels], dense)
 
-    # block with no observed entries -> 1/2; single observation fills its block
+    # block pair with no observed pair -> 1/2; a single observation fills its block pair
     labels = block_partition(np.array([0.0, 0.5, 3.0, 3.5]), 3.0, upper=4.0)
     assert [g.tolist() for g in labels.groups] == [[0, 1], [2, 3]]
-    y2 = np.full((4, 4), 0.5)
-    obs2 = np.zeros((4, 4), dtype=bool)
-    y2[0, 2] = 0.8
-    y2[2, 0] = 0.2
-    obs2[0, 2] = obs2[2, 0] = True
-    out2 = block_average(y2, obs2, labels)
-    assert np.all(out2[:2, 2:] == 0.8)
-    assert np.all(out2[2:, :2] == pytest.approx(0.2))
-    assert np.all(out2[:2, :2] == 0.5)  # unobserved diagonal block
+    s2 = sample_of_pairs(4, [[0, 2]], np.array([0.8]), np.array([1, 0, 1, 0]))
+    out2 = block_average(s2, labels)
+    assert out2[0, 1] == 0.8 and out2[1, 0] == pytest.approx(0.2)
+    assert out2[0, 0] == out2[1, 1] == 0.5  # unobserved diagonal block pairs
+    dense = oracles.block_average(*sample_matrix(s2), labels)
+    assert np.array_equal(out2[labels.labels[:, None], labels.labels], dense)
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_block_average_matches_the_dense_oracle(mode):
+    # sparse graphs leave block pairs unobserved (1/2); t = n puts every item in one group
+    unobserved = 0
+    for family in ("power_law", "two_cliques", "path", "star", "cycle"):
+        for n in (16, 64):
+            for t in (1.0, 3.0, float(n)):
+                g, _, s = bap_draw(family, n, n + int(t), mode)
+                c = block_partition(n * empirical_scores(s), t, upper=n)
+                grid = block_average(s, c)
+                assert grid.shape == (c.num_groups,) * 2
+                got = grid[c.labels[:, None], c.labels]
+                y, observed = sample_matrix(s)
+                want = oracles.block_average(y, observed, c)
+                if mode == "bernoulli":  # 0/1 outcomes: every block sum is exact
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+                i, j = np.nonzero(observed)
+                hit = np.zeros(grid.shape, dtype=bool)
+                hit[c.labels[i], c.labels[j]] = True
+                assert np.all(grid[~hit] == 0.5)
+                unobserved += int(np.sum(~hit))
+    assert unobserved > 0
+
+
+@pytest.mark.parametrize("family", ["two_cliques", "power_law"])
+def test_block_average_allocates_four_pair_sized_arrays(family):
+    # the 2m keys and the 2m values, in units of one int64 per observed pair
+    n = 2048
+    g = make_topology(family, n)
+    rng = np.random.default_rng(6)
+    s = observe(NoisySorting(ident(n), 0.3), g, assign_random(g, rng), rng)
+    c = block_partition(n * empirical_scores(s), float(np.sum(1.0 / np.sqrt(s.counts))), upper=n)
+    tracemalloc.start()
+    try:
+        grid = block_average(s, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.shape == (c.num_groups,) * 2 and c.num_groups > 1
+    assert peak <= 4.1 * 8 * s.num_pairs
 
 
 def test_block_average_equals_double_row_average_when_fully_observed():
@@ -636,7 +680,7 @@ def test_block_average_equals_double_row_average_when_fully_observed():
     x = rng.random((8, 8))
     c = block_partition(rng.random(8) * 8, 3.0, upper=8.0)
     everything = np.ones((8, 8), dtype=bool)
-    direct = block_average(x, everything, c)
+    direct = oracles.block_average(x, everything, c)
 
     def row_block_average(x):  # each row replaced by the mean of its group's rows
         out = np.empty_like(x)
@@ -725,6 +769,30 @@ def test_bap_matches_dense_reference_path():
                     assert out.tobytes() == dense.tobytes()
                 else:
                     assert np.abs(out - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_bap_averages_through_the_public_block_average_once(monkeypatch):
+    calls = []
+
+    def counted(s, c):
+        calls.append(c)
+        return block_average(s, c)
+
+    monkeypatch.setattr(estimators, "block_average", counted)
+    for family, n, seed in (("power_law", 32, 1), ("two_cliques", 16, 2)):
+        _, s1, s2 = bap_draw(family, n, seed)
+        calls.clear()
+        bap_estimate(s1, s2)
+        assert len(calls) == 1
+        bap_estimate(s1, s1)
+        assert len(calls) == 2
+
+
+def test_one_block_mean_path_and_one_reader_of_the_row_offsets():
+    source = inspect.getsource(estimators)
+    assert "indptr" not in source
+    for name in ("_block_means", "_sample_block_means"):
+        assert not hasattr(estimators, name), name
 
 
 def test_bap_allocates_only_its_estimate():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import re
@@ -68,6 +69,41 @@ def test_spec_validation():
         small_spec(graph_family="nosuch")
 
 
+def test_spec_rejects_a_bad_later_size_before_any_trial():
+    # make_topology's own message, from the spec: a sweep would run n = 256 first
+    with pytest.raises(ValueError, match=r"^two_cliques requires an even n >= 4, got n=257$"):
+        ExperimentSpec("two_cliques", (256, 257), trials=3)
+    for kwargs, message in (
+        (dict(graph_family="cycle", n_values=(2, 3)), "cycle requires n >= 3, got n=2"),
+        (dict(graph_family="path", n_values=(1,)), "path requires n >= 2, got n=1"),
+        (dict(graph_family="regular_bipartite", n_values=(8,)), "regular_bipartite requires alpha"),
+        (dict(graph_family="erdos_renyi", n_values=(8,)), "erdos_renyi requires p in"),
+        (dict(graph_family="erdos_renyi", n_values=(8,), edge_probability=1.5), "requires p in"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_spec(**kwargs)
+
+
+def test_every_cell_runs_at_the_smallest_sizes():
+    # each family's two smallest sizes, under every model, estimator and mode, at lambda 0 and 1/2
+    sizes = dict.fromkeys(("two_cliques", "clique_plus_path", "regular_bipartite"), (4, 6))
+    sizes["cycle"] = (3, 4)
+    runs = itertools.product(("ns", "sst"), ("asp", "bap", "bap1"), ("bernoulli", "expectation"))
+    cells = itertools.product(GRAPH_FAMILIES, list(runs), (0.0, 0.5))
+    records = []
+    for family, (model, estimator, mode), lam in cells:
+        spec = ExperimentSpec(
+            family, sizes.get(family, (2, 3)), model=model, lambda_star=lam,
+            estimator=estimator, trials=3, master_seed=2, mode=mode,
+            bipartite_alpha=0.5, edge_probability=0.5,
+        )
+        records += run_sweep(spec)
+    assert len(records) == 1296
+    for r in records:
+        assert r.error is None, r
+        assert math.isfinite(r.frob_err) and 0.0 <= r.frob_err <= 1.0, r
+
+
 def test_derive_seed_is_deterministic_and_spread():
     seeds = {derive_seed(1, n, t) for n in range(50) for t in range(50)}
     assert len(seeds) == 2500
@@ -116,8 +152,7 @@ def test_run_trial_reads_its_size_from_the_graph():
 
 def test_run_trial_records_failures():
     # p small enough that some vertex is isolated: estimator precondition fails
-    spec = small_spec(graph_family="erdos_renyi", n_values=(16,))
-    spec = ExperimentSpec(**{**spec.__dict__, "edge_probability": 0.01})
+    spec = small_spec(graph_family="erdos_renyi", n_values=(16,), edge_probability=0.01)
     g = harness.build_graph(spec, 16)
     recs = [run_trial(spec, t, g) for t in range(5)]
     failed = [r for r in recs if r.error is not None]
@@ -130,12 +165,14 @@ def test_run_trial_records_failures():
 @pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
 def test_every_estimator_gives_an_isolated_item_the_same_reason(mode):
     # vertex 6 of this graph is isolated; each trial assigns some item to it
-    base = small_spec(graph_family="erdos_renyi", n_values=(8,), master_seed=11, mode=mode).__dict__
-    g = harness.build_graph(ExperimentSpec(**{**base, "edge_probability": 0.3}), 8)
+    base = small_spec(
+        graph_family="erdos_renyi", n_values=(8,), master_seed=11, mode=mode, edge_probability=0.3
+    ).__dict__
+    g = harness.build_graph(ExperimentSpec(**base), 8)
     assert g.degrees.tolist().count(0) == 1
     errors = {}
     for est in ("asp", "bap", "bap1"):
-        spec = ExperimentSpec(**{**base, "edge_probability": 0.3, "estimator": est})
+        spec = ExperimentSpec(**{**base, "estimator": est})
         errors[est] = [run_trial(spec, t, g).error for t in range(4)]
     assert errors["asp"] == errors["bap"] == errors["bap1"]
     reason = re.compile(r"ValueError: item \d+ has no observed comparisons")

@@ -50,6 +50,15 @@ def test_assign_random_is_uniform_at_n4():
         assert abs(c / draws - 1 / 24) < 0.005
 
 
+def test_assign_random_returns_its_permutation_uncopied():
+    n = 10**6
+    g = make_topology("path", n)
+    sigma, peak = traced_peak(assign_random, g, np.random.default_rng(5))
+    assert sigma.dtype == np.int64
+    assert peak <= 1.1 * 8 * n  # the permutation itself, not an int64 copy of it
+    assert np.array_equal(sigma, np.random.default_rng(5).permutation(n))
+
+
 def test_observe_expectation_example():
     g = make_topology("complete", 3)
     m = make_noisy_sorting(identity_permutation(3), 0.4)

@@ -38,7 +38,6 @@ MOVED = {
 # public names no src/ code reads, each kept on purpose
 UNREFERENCED = {
     "sample_matrix": "perfbench/tracer.py looks it up by name (ROADMAP item 3)",
-    "block_average": "perfbench/tracer.py looks it up by name (ROADMAP item 3)",
     "is_biso": "the biso membership reference that acceptance criterion 08 checks",
     "adversarial_pair": "the worst-case certificate that acceptance criterion 09 checks",
     "make_graph": "the one validator of outside edge lists",
