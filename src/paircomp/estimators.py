@@ -9,13 +9,14 @@ block, and project onto the permuted bivariate isotonic set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import NoisySorting, _invert, check_permutation
-from .observation import ObservationSample, empirical_scores
+from .observation import ObservationSample, _pairwise_sum, empirical_scores
 
 __all__ = [
     "asp_sort",
@@ -57,12 +58,18 @@ def asp_lambda_mle(s: ObservationSample, pi) -> float:
     p = check_permutation(pi).astype(np.int32)  # every rank is < n: half-size gathers
     if len(p) != s.n:
         raise ValueError(f"ranking of {len(p)} items does not match a sample of size {s.n}")
-    inverted = s._first(p) > p[s.partners]
-    # |inverted - y| is 1 - y on inverted pairs and y elsewhere, in one array
-    aligned = np.subtract(inverted, s.values)
-    np.abs(aligned, out=aligned)
-    lam = float(aligned.mean() - 0.5)
+    # the mean of |inverted - y| over all pairs, summed span by span as numpy sums one array
+    total = _pairwise_sum(functools.partial(_aligned_sum, s, p), 0, s.num_pairs)
+    lam = float(total / s.num_pairs - 0.5)
     return min(max(lam, 0.0), 0.5)
+
+
+def _aligned_sum(s: ObservationSample, p: np.ndarray, lo: int, hi: int) -> float:
+    """np.add.reduce of |inverted - y| over the pairs lo..hi-1 of s ranked by p."""
+    ((at, first),) = s._blocks(p, [(lo, hi)])
+    # |inverted - y| is 1 - y on inverted pairs and y elsewhere, in one array
+    aligned = np.subtract(first > p[s.partners[at]], s.values[at])
+    return np.add.reduce(np.abs(aligned, out=aligned))
 
 
 def asp_estimate(s: ObservationSample) -> NoisySorting:
@@ -279,7 +286,9 @@ def block_average(s: ObservationSample, c: BlockPartition) -> np.ndarray:
     k, m = c.num_groups, s.num_pairs
     key = np.empty(2 * m, dtype=np.int64)
     fwd, rev = key[:m], key[m:]
-    fwd[...] = s._first(lab)
+    for at, first in s._blocks(lab):
+        fwd[at] = first
+    first = None  # the loop's last column goes now, not after the 2m values come
     # a plain gather: np.take(out=) would buffer its output and copy the read-only column
     rev[...] = lab[s.partners]
     fwd *= k

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _invert
+from .models import _block_column, _invert, _spans
 
 __all__ = [
     "Graph",
@@ -79,31 +79,45 @@ class Graph:
     def edges(self) -> np.ndarray:
         """Edges (u, v) with u < v as rows of an (m, 2) array, lexicographically
         sorted: column-major int64, read-only, expanded afresh on each access."""
-        e = np.vstack(self._expand(np.arange(self.n))).T
+        e = np.empty((self.num_edges, 2), dtype=np.int64, order="F")
+        for at, u, v in self._blocks(np.arange(self.n)):
+            e[at, 0], e[at, 1] = u, v
         e.setflags(write=False)
         return e
 
-    def _expand(self, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Columns label[u] and label[v] over the sorted edges u-v: fresh arrays."""
+    def _blocks(self, label: np.ndarray):
+        """Per block of the sorted edges u-v: its slice, and fresh columns label[u] and
+        label[v] there, of label's dtype, so no caller builds an edge-sized column."""
         count = self.last - self.first
-        # v steps by 1 along a row; a row's head jumps there from the row before's last v
-        v = np.ones(self.num_edges, dtype=np.int64)
-        v[np.cumsum(count) - count] = self.first - np.append(0, self.last[:-1] - 1)
-        np.cumsum(v, out=v)
-        v = label[v]  # before the owners' column, which then reuses the memory freed here
-        return np.repeat(label, np.diff(self.indptr)), v
+        rowptr = np.zeros(len(count) + 1, dtype=np.int64)
+        np.cumsum(count, out=rowptr[1:])
+        shift = rowptr[:-1] - self.first  # slot k of row r holds the partner k - shift[r]
+        for lo, hi in _spans(self.num_edges):
+            v = np.arange(lo, hi)
+            v -= _block_column(rowptr, shift, lo, hi)
+            yield slice(lo, hi), _block_column(self.indptr, label, lo, hi), label[v]
 
     def _rows(self, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Item rows under a checked permutation sigma: item i's partners j > i, those
         whose vertices sigma[i], sigma[j] share an edge, are partners[indptr[i]:indptr[i + 1]]
         in ascending order.  indptr (n + 1 offsets) and partners are int64."""
-        # the rows expand into item pairs inv[u], inv[v], dropped once packed into keys
-        key = _pair_key(*self._expand(_invert(sigma, _key_dtype(self.n))), self.n)
+        # each block's item pairs inv[u], inv[v] pack into its keys and are dropped;
+        # the keys fill the front of the partners' own int64 buffer
+        inv = _invert(sigma, _key_dtype(self.n))
+        partners = np.empty(self.num_edges, dtype=np.int64)
+        key = partners.view(inv.dtype)[: self.num_edges]
+        for at, a, b in self._blocks(inv):
+            _pair_key(a, b, self.n, out=key[at])
         key.sort()
         bits = _key_bits(self.n)
         # item i's keys start at the first key >= i << b: no column of first items
         indptr = np.searchsorted(key, np.arange(self.n + 1, dtype=key.dtype) << bits)
-        return indptr, np.bitwise_and(key, (1 << bits) - 1, dtype=np.int64)
+        # unpacked in place, last block first: block k's int64 slots hold the int32 keys
+        # of blocks 2k and 2k + 1, read by then for k > 0, and numpy copies block 0's
+        # keys before it overwrites them
+        for lo, hi in reversed(_spans(self.num_edges)):
+            np.bitwise_and(key[lo:hi], (1 << bits) - 1, out=partners[lo:hi])
+        return indptr, partners
 
 
 def make_graph(n: int, edges) -> Graph:
@@ -141,9 +155,10 @@ def _key_dtype(n: int):
     return np.int32 if 2 * _key_bits(n) < 31 else np.int64
 
 
-def _pair_key(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Unsorted keys of the pairs a[k], b[k]; b, a fresh array in _key_dtype(n), is overwritten."""
-    key = np.minimum(a, b, dtype=b.dtype)
+def _pair_key(a: np.ndarray, b: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Unsorted keys of the pairs a[k], b[k], into out if given; b, a fresh array in
+    _key_dtype(n), is overwritten."""
+    key = np.minimum(a, b, out=out, dtype=b.dtype)
     np.maximum(a, b, out=b)
     key <<= _key_bits(n)
     key |= b

@@ -1,5 +1,9 @@
 """Permutations, Kendall-tau machinery, and comparison-matrix models.
 
+Also the array helpers the graphs and the samples share: a permutation's
+inverse, and the block-by-block expansion of runs that keeps an edge- or
+pair-long pass from building an edge- or pair-sized column.
+
 Conventions
 -----------
 A permutation is an int array ``ranks`` of length n where ``ranks[i]`` is
@@ -55,6 +59,25 @@ def _invert(p: np.ndarray, dtype=np.int64) -> np.ndarray:
     inv = np.empty(len(p), dtype=dtype)
     inv[p] = np.arange(len(p), dtype=dtype)
     return inv
+
+
+_BLOCK = 1 << 16  # edges or pairs per block of an edge- or sample-long pass: 512 kB of float64
+
+
+def _spans(m: int) -> list[tuple[int, int]]:
+    """Positions 0..m-1 as blocks lo..hi-1 of at most _BLOCK, in order."""
+    return [(lo, min(lo + _BLOCK, m)) for lo in range(0, m, _BLOCK)]
+
+
+def _block_column(offsets: np.ndarray, label: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """label[r] for each slot lo..hi-1, where run r fills slots offsets[r]:offsets[r + 1]:
+    a fresh array of label's dtype, read from the runs that meet the span alone."""
+    r0 = offsets.searchsorted(lo, "right") - 1
+    r1 = offsets.searchsorted(hi)
+    count = np.diff(offsets[r0 : r1 + 1])
+    count[0] -= lo - offsets[r0]  # the first run may start before lo
+    count[-1] -= offsets[r1] - hi  # and the last end after hi
+    return label[r0:r1].repeat(count)
 
 
 def kt_distance(p, q) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .models import NoisySorting, check_permutation
+from .models import _BLOCK, NoisySorting, _block_column, _spans, check_permutation
 
 __all__ = [
     "ObservationSample",
@@ -22,8 +22,6 @@ __all__ = [
     "empirical_scores",
     "sample_matrix",
 ]
-
-_BLOCK = 1 << 16  # pairs per block of observe's gathers and draws: 512 kB of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,14 +51,36 @@ class ObservationSample:
     def pairs(self) -> np.ndarray:
         """Pairs (i, j) as rows of an (m, 2) array: column-major int64, read-only,
         expanded afresh on each access."""
-        p = np.vstack((self._first(np.arange(self.n)), self.partners)).T
+        p = np.empty((self.num_pairs, 2), dtype=np.int64, order="F")
+        p[:, 1] = self.partners
+        for at, first in self._blocks(np.arange(self.n)):
+            p[at, 0] = first
         p.setflags(write=False)
         return p
 
-    def _first(self, label: np.ndarray) -> np.ndarray:
-        """label[i] for each pair's first item i, in pair order: a fresh array
-        of label's dtype, so a reader expands the column at the width it gathers."""
-        return np.repeat(label, np.diff(self.indptr))
+    def _blocks(self, label: np.ndarray, spans=None):
+        """Per span lo..hi-1 of the pairs, blocks of _BLOCK unless spans lists them:
+        its slice, and label[i] for each pair's first item i there, in pair order.
+        The column is fresh and of label's dtype, so no reader builds a pair-sized one."""
+        for lo, hi in _spans(self.num_pairs) if spans is None else spans:
+            yield slice(lo, hi), _block_column(self.indptr, label, lo, hi)
+
+
+def _pairwise_sum(leaf, lo: int, hi: int) -> float:
+    """np.add.reduce of the terms lo..hi-1, bit for bit, given leaf(a, b), the
+    np.add.reduce of the terms a..b-1 for spans of at most _BLOCK terms.
+
+    numpy sums a contiguous float array pairwise (Higham 1993, "The accuracy of
+    floating point summation"): a span longer than 128 terms is halved, the half
+    rounded down to a multiple of 8, and the two sums added.  This takes the same
+    split down to spans of _BLOCK (at least 128), so no term array longer than that
+    is needed.
+    """
+    if hi - lo <= _BLOCK:
+        return leaf(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, lo, lo + half) + _pairwise_sum(leaf, lo + half, hi)
 
 
 def assign_random(g: Graph, rng: np.random.Generator) -> np.ndarray:
@@ -96,26 +116,20 @@ def observe(
         raise ValueError(f"size mismatch: matrix {size}, graph {g.n}, sigma {len(sigma)}")
 
     indptr, partners = g._rows(sigma)
-    values = np.empty(len(partners))
-    blocks = [(lo, min(lo + _BLOCK, len(values))) for lo in range(0, len(values), _BLOCK)]
-    for lo, hi in blocks:
-        # rows r0..r1 - 1 meet the block; each gives its pairs there one first item
-        r0 = np.searchsorted(indptr, lo, side="right") - 1
-        r1 = np.searchsorted(indptr, hi)
-        first = np.repeat(np.arange(r0, r1), np.diff(indptr[r0 : r1 + 1].clip(lo, hi)))
-        values[lo:hi] = m[first, partners[lo:hi]]
+    # item i is compared along exactly the edges at its vertex sigma(i)
+    s = ObservationSample(g.n, indptr, partners, np.empty(len(partners)), g.degrees[sigma])
+    for at, first in s._blocks(np.arange(g.n)):
+        s.values[at] = m[first, partners[at]]
     # before any draw; NaN fails every comparison, so it fails this check too
-    if dense and not (values.min(initial=0.5) >= 0.0 and values.max(initial=0.5) <= 1.0):
+    if dense and not (s.values.min(initial=0.5) >= 0.0 and s.values.max(initial=0.5) <= 1.0):
         raise ValueError("entries must lie in [0, 1]")
     if rng is not None:
         # rng.random(a) then rng.random(b) draws the doubles of rng.random(a + b)
-        for lo, hi in blocks:
-            np.less(rng.random(hi - lo), values[lo:hi], out=values[lo:hi])
-    # item i is compared along exactly the edges at its vertex sigma(i)
-    counts = g.degrees[sigma]
-    for a in (indptr, partners, values, counts):
+        for lo, hi in _spans(s.num_pairs):
+            np.less(rng.random(hi - lo), s.values[lo:hi], out=s.values[lo:hi])
+    for a in (indptr, partners, s.values, s.counts):
         a.setflags(write=False)
-    return ObservationSample(g.n, indptr, partners, values, counts)
+    return s
 
 
 def empirical_scores(s: ObservationSample) -> np.ndarray:
@@ -123,11 +137,12 @@ def empirical_scores(s: ObservationSample) -> np.ndarray:
     if s.counts.min() == 0:
         raise ValueError(f"item {int(np.argmin(s.counts))} has no observed comparisons")
     # np.add.at sums in index order from zero, as bincount does, but reads the
-    # sample's read-only arrays in place where bincount would copy them
-    wins = np.zeros(s.n)
-    np.add.at(wins, s._first(np.arange(s.n)), s.values)
-    lost = np.zeros(s.n)
-    np.add.at(lost, s.partners, 1.0 - s.values)
+    # sample's read-only arrays in place where bincount would copy them; block
+    # by block in pair order, it adds in the same order
+    wins, lost = np.zeros(s.n), np.zeros(s.n)
+    for at, first in s._blocks(np.arange(s.n)):
+        np.add.at(wins, first, s.values[at])
+        np.add.at(lost, s.partners[at], 1.0 - s.values[at])
     wins += lost
     return wins / s.counts
 

@@ -84,6 +84,31 @@ def sample_of_pairs(n: int, pairs, values, counts) -> ObservationSample:
     return ObservationSample(n, indptr, np.ascontiguousarray(pairs[:, 1]), values, counts)
 
 
+def first_items(s: ObservationSample) -> np.ndarray:
+    """Each pair's first item i, in pair order: the expanded int64 column."""
+    return np.repeat(np.arange(s.n), np.diff(s.indptr))
+
+
+def empirical_scores(s: ObservationSample) -> np.ndarray:
+    """``paircomp.empirical_scores`` over the expanded item column: wins
+    and then losses added by ``np.add.at`` in pair order, one pass each."""
+    wins = np.zeros(s.n)
+    np.add.at(wins, first_items(s), s.values)
+    lost = np.zeros(s.n)
+    np.add.at(lost, s.partners, 1.0 - s.values)
+    wins += lost
+    return wins / s.counts
+
+
+def asp_lambda_mle(s: ObservationSample, pi) -> float:
+    """``paircomp.asp_lambda_mle`` as the mean of one pair-long array:
+    |inverted - y| over every pair, summed by ``ndarray.mean``."""
+    p = check_permutation(pi).astype(np.int32)
+    aligned = np.subtract(p[first_items(s)] > p[s.partners], s.values)
+    np.abs(aligned, out=aligned)
+    return min(max(float(aligned.mean() - 0.5), 0.0), 0.5)
+
+
 def observe_by_edge_list(m, g: Graph, sigma, rng) -> ObservationSample:
     """observe's sample drawn over a materialised edge array: each edge
     relabelled through the inverse assignment, then sorted by

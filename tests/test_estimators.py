@@ -27,7 +27,7 @@ from paircomp import (
     sample_sst_bands,
     assign_random,
 )
-from paircomp import estimators
+from paircomp import estimators, observation
 import oracles
 from oracles import (
     biso_projection_by_nnls,
@@ -118,6 +118,74 @@ def test_asp_lambda_mle_alignment_matches_where_formula_bit_for_bit():
             assert got.tobytes() == ref.tobytes()
             s = sample_of_pairs(n, pairs, y, np.full(n, n - 1))
             assert asp_lambda_mle(s, pi) == min(max(float(ref.mean() - 0.5), 0.0), 0.5)
+
+
+def blocked_reader_samples():
+    """(name, sample) pairs in both modes under an NS and, up to n = 2048, a dense SST
+    model: 1 pair, one block's worth and one pair either side of it, samples of several
+    blocks, and path at n = 40000, whose edge key is int64."""
+    block = 1 << 16
+    complete = make_topology("complete", 363).edges  # 65703 pairs; 362 or more cover every item
+    graphs = [("1 pair", make_graph(2, [(0, 1)]))]
+    graphs += [(f"{size} pairs", make_graph(363, complete[:size])) for size in (block - 1, block, block + 1)]
+    graphs += [
+        (f"{family} n={n}", make_topology(family, n))
+        for family, n in (("two_cliques", 1024), ("two_cliques", 2048), ("power_law", 2048), ("path", 40000))
+    ]
+    for k, (name, g) in enumerate(graphs):
+        rng = np.random.default_rng(k)
+        models = [("ns", NoisySorting(rng.permutation(g.n), 0.3))]
+        if g.n <= 2048:
+            models.append(("sst", sample_sst_bands(g.n, rng)))
+        sigma = assign_random(g, rng)
+        for model_name, m in models:
+            for mode, value_rng in (("bernoulli", rng), ("expectation", None)):
+                yield f"{name} {model_name} {mode}", observe(m, g, sigma, value_rng)
+
+
+def test_blocked_readers_match_the_expanded_column_bit_for_bit():
+    # the scores add in pair order block by block, and the lambda sum splits as numpy's does
+    block = 1 << 16
+    sizes = set()
+    for name, s in blocked_reader_samples():
+        sizes.add(s.num_pairs)
+        tau = empirical_scores(s)
+        assert tau.tobytes() == oracles.empirical_scores(s).tobytes(), name
+        for pi in (asp_sort(tau), np.random.default_rng(s.num_pairs).permutation(s.n)):
+            assert asp_lambda_mle(s, pi) == oracles.asp_lambda_mle(s, pi), name
+    assert {1, block - 1, block, block + 1} <= sizes and max(sizes) > 15 * block
+    empty = sample_of_pairs(2, np.empty((0, 2)), np.empty(0), np.zeros(2, dtype=np.int64))
+    with pytest.raises(ValueError, match="item 0 has no observed comparisons"):
+        empirical_scores(empty)
+    with pytest.raises(ValueError, match="empty sample"):
+        asp_lambda_mle(empty, ident(2))
+
+
+def test_lambda_in_expectation_is_the_one_array_mean_not_a_sum_of_block_sums():
+    # Y = 1/2 +- 0.3 exactly, and every |inverted - y| is 0.8 once the order is recovered
+    n, block = 2048, 1 << 16
+    g = make_topology("two_cliques", n)
+    s = observe(NoisySorting(ident(n), 0.3), g, assign_random(g, np.random.default_rng(0)), None)
+    pi = asp_sort(empirical_scores(s))
+    assert asp_lambda_mle(s, pi) == oracles.asp_lambda_mle(s, pi) == 0.30000000000000004
+    p = pi.astype(np.int32)
+    aligned = np.abs(np.subtract(p[oracles.first_items(s)] > p[s.partners], s.values))
+    by_blocks = sum(np.add.reduce(aligned[lo : lo + block]) for lo in range(0, s.num_pairs, block))
+    assert float(by_blocks / s.num_pairs - 0.5) == 0.30000000000000016
+
+
+def test_pairwise_sum_follows_numpy_add_reduce_bit_for_bit():
+    # numpy's summation order is not an API: a numpy that changes it fails here, not in lambda
+    block = 1 << 16
+    rng = np.random.default_rng(21)
+    lengths = list(range(300)) + [block - 1, block, block + 1, 2 * block + 7, 3 * block + 17]
+    lengths += rng.integers(0, 3 * block + 18, 150).tolist()
+    lengths += [3_000_000 - 9, 3_000_000, 3_000_000 + 13]
+    for size in lengths:
+        # terms of many magnitudes, so a different order rounds differently
+        a = rng.random(size) * 10.0 ** rng.integers(-8, 9, size)
+        got = observation._pairwise_sum(lambda lo, hi: np.add.reduce(a[lo:hi]), 0, size)
+        assert got.tobytes() == np.add.reduce(a).tobytes(), size
 
 
 @pytest.mark.parametrize("n", [3, 10, 50])

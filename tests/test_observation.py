@@ -19,7 +19,6 @@ from paircomp import (
     sample_matrix,
     sample_sst_bands,
 )
-from paircomp import observation
 
 from oracles import adjacency_matrix, observe_by_edge_list, sample_of_pairs, scores
 
@@ -308,8 +307,9 @@ def test_observe_by_blocks_draws_the_one_shot_stream(monkeypatch, mode):
     # rng.random(a) then rng.random(b) draws the doubles of rng.random(a + b),
     # so a block edge anywhere in a row changes no value and no generator state
     block = 8
-    monkeypatch.setattr(observation, "_BLOCK", block)
+    monkeypatch.setattr("paircomp.models._BLOCK", block)
     edges = make_topology("complete", 12).edges  # rows of 11, 10, ... partners
+    assert edges.tolist() == [[u, v] for u in range(12) for v in range(u + 1, 12)]
     for size in (block - 1, block, block + 1, 3 * block - 1, 3 * block, 3 * block + 1):
         g = make_graph(12, edges[:size])
         for seed in range(3):
@@ -329,7 +329,7 @@ def test_observe_by_blocks_draws_the_one_shot_stream(monkeypatch, mode):
 
 
 def test_observe_checks_the_last_block_before_any_draw(monkeypatch):
-    monkeypatch.setattr(observation, "_BLOCK", 8)
+    monkeypatch.setattr("paircomp.models._BLOCK", 8)
     g = make_topology("complete", 12)  # 66 pairs: the last block holds two
     sigma = np.random.default_rng(0).permutation(12)
     m = sample_sst_bands(12, np.random.default_rng(1))
@@ -364,10 +364,28 @@ def test_ns_asp_steps_allocate_few_edge_sized_arrays(mode):
     model = NoisySorting(identity_permutation(n), 0.2)
     s, peak = traced_peak(observe, model, g, assign_random(g, rng), draws(mode, rng))
     assert peak <= 2.3 * unit  # the partners and the values, and one block's temporaries
+    # the sample's readers go block by block: no pair-sized column, only n-sized arrays
     _, peak = traced_peak(empirical_scores, s)
-    assert peak < 1.05 * unit
+    assert peak < 0.2 * unit
     _, peak = traced_peak(asp_estimate, s)
-    assert peak < 1.2 * unit
+    assert peak < 0.2 * unit
+
+
+@pytest.mark.parametrize("mode", ["bernoulli", "expectation"])
+def test_ns_asp_steps_at_the_int64_key_allocate_few_edge_sized_arrays(mode):
+    # above n = 32768 the key is int64; built block by block into the partners' own
+    # buffer and unpacked there, it adds no pair-sized column to the partners and values
+    n = 65536
+    g = make_topology("regular_bipartite", n, alpha=0.3)
+    unit = 8 * g.num_edges
+    assert g.num_edges == 720896  # n/m is 1/11: each n-sized array is 0.09 units
+    rng = np.random.default_rng(8)
+    model = NoisySorting(identity_permutation(n), 0.2)
+    sigma = assign_random(g, rng)
+    _, peak = traced_peak(observe, model, g, sigma, draws(mode, rng))
+    assert peak <= 2.6 * unit
+    _, peak = traced_peak(lambda: asp_estimate(observe(model, g, sigma, draws(mode, rng))))
+    assert peak <= 2.75 * unit
 
 
 @pytest.mark.parametrize(
